@@ -27,14 +27,7 @@ from math import comb, gcd
 from .cartan import CartanMatrix
 from .errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
 from .polyint import LinearPowerCache
-from .weyl import (
-    CosetEntry,
-    CosetTable,
-    column_positive,
-    root_apply_right,
-    root_identity,
-    root_matrix_cols,
-)
+from .weyl import CosetEntry, CosetTable, _apply_gen_vec
 
 _LPC = LinearPowerCache()
 
@@ -184,7 +177,9 @@ class FactoredEvaluator:
 
     A state is the factor multiset of a homogeneous polynomial of degree j in
     the variables x_1..x_j (j is the summed degree), encoded as a sorted
-    tuple of (form id << 6 | exponent) ints.  Splitting every factor
+    tuple of (form id << bits | exponent) ints, where ``bits`` is the bit
+    length of the word length; no exponent or level exceeds the word length,
+    so the fields never overlap.  Splitting every factor
     F = G + x_j*H and distributing the elimination of x_j produces child
     states weighted by binomial coefficients; values are memoized per state,
     and the memo is shared across every characteristic query against the
@@ -193,6 +188,7 @@ class FactoredEvaluator:
 
     def __init__(self, cartan: CartanMatrix, word):
         word = tuple(word)
+        self.bits = len(word).bit_length()
         self._forms: list[Form] = []
         self._ids: dict[Form, int] = {}
         self._deg: list[int] = []
@@ -289,19 +285,21 @@ class FactoredEvaluator:
         return tuple(opts)
 
     def evaluate(self, state) -> int:
-        """Value of a factor-multiset state; packed key entries (fid << 6 | exp)."""
+        """Value of a factor-multiset state; packed key entries (fid << bits | exp)."""
         memo = self.memo
         got = memo.get(state)
         if got is not None:
             return got
+        bits = self.bits
+        low = (1 << bits) - 1
         deg = self._deg
         j = 0
         for packed in state:
-            j += (packed & 63) * deg[packed >> 6]
+            j += (packed & low) * deg[packed >> bits]
         if j == 1:
             val = 0
-            if len(state) == 1 and state[0] & 63 == 1:
-                if self._forms[state[0] >> 6] == ((1, 1),):
+            if len(state) == 1 and state[0] & low == 1:
+                if self._forms[state[0] >> bits] == ((1, 1),):
                     val = 1
             memo[state] = val
             return val
@@ -314,10 +312,10 @@ class FactoredEvaluator:
         fixed_adds: list = []
         var_opts = []
         for packed in state:
-            okey = (packed << 6) | j
+            okey = (packed << bits) | j
             opts = ocache.get(okey)
             if opts is None:
-                opts = self._build_options(packed >> 6, packed & 63, j)
+                opts = self._build_options(packed >> bits, packed & low, j)
                 ocache[okey] = opts
             if not opts:
                 memo[state] = 0
@@ -345,7 +343,7 @@ class FactoredEvaluator:
             if fid == cur_fid:
                 prefix[-1] += e
             else:
-                prefix.append((fid << 6) | e)
+                prefix.append((fid << bits) | e)
                 prefix_supp |= supp[fid]
                 cur_fid = fid
         combos = [(base_r, base_scalar, ())]
@@ -369,9 +367,9 @@ class FactoredEvaluator:
             child_supp = prefix_supp
             for fid, e in extras:
                 child_supp |= supp[fid]
-                packed = (fid << 6) | e
+                packed = (fid << bits) | e
                 for ii in range(len(lst)):
-                    f2 = lst[ii] >> 6
+                    f2 = lst[ii] >> bits
                     if f2 == fid:
                         lst[ii] += e
                         break
@@ -430,10 +428,15 @@ def _word_cache(table: CosetTable, word) -> dict:
 def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple[int, ...]:
     """Position subsets of w's word whose subword equals u in the Weyl group.
 
-    Returned as bitmasks over the m positions.  The search walks positions in
-    ascending order and only extends partial products that stay reduced
-    (appending s_i must send a positive root to a positive root), so partial
-    products always have length equal to the number of picked positions.
+    Returned as ascending bitmasks over the m positions.  The search walks
+    w's word from right to left, prepending letters to a partial product x
+    that must stay a reduced right factor of u, i.e. l(u x^-1) = l(u) - l(x).
+    It carries the single weight-coordinate vector z = x u^-1 rho.  By the
+    length criterion l(v s_g) < l(v) iff v(a_g) < 0 (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.6-1.7), applied to v = u x^-1, the letter g
+    may be prepended iff z_g = <v^-1 rho, a_g^vee> < 0, and z then becomes
+    s_g z.  A branch that picks l(u) positions has v = 1, so it spells a
+    reduced word of u and needs no final comparison.
     """
     cache = _word_cache(table, w.word)["masks"]
     key = (u.m, u.i)
@@ -442,23 +445,24 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
         return got
     cartan = table.cartan
     word = w.word
-    m = len(word)
     t = u.m
-    target = root_matrix_cols(cartan, u.word)
+    z0 = (1,) * cartan.rank
+    for g in u.word:
+        z0 = _apply_gen_vec(cartan, g, z0)
     out: list[int] = []
 
-    def rec(start: int, depth: int, cols, mask: int) -> None:
+    def rec(end: int, depth: int, z, mask: int) -> None:
         if depth == t:
-            if cols == target:
-                out.append(mask)
+            out.append(mask)
             return
-        for q in range(start, m - (t - depth) + 1):
+        # positions 0..q-1 must leave room for the t - depth - 1 letters still to pick
+        for q in range(end - 1, t - depth - 2, -1):
             g = word[q]
-            if column_positive(cols[g - 1]):
-                rec(q + 1, depth + 1, root_apply_right(cartan, cols, g), mask | (1 << q))
+            if z[g - 1] < 0:
+                rec(q, depth + 1, _apply_gen_vec(cartan, g, z), mask | (1 << q))
 
-    rec(0, 0, root_identity(cartan.rank), 0)
-    masks = tuple(out)
+    rec(len(word), 0, z0, 0)
+    masks = tuple(sorted(out))
     cache[key] = masks
     return masks
 
@@ -487,10 +491,10 @@ def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
         masks = class_factor_masks(table, w, u)
         if not masks:
             return 0
-        form = tuple((mask, 1) for mask in sorted(masks))
+        form = tuple((mask, 1) for mask in masks)
         fid = evaluator.intern(form)
         parts[fid] = parts.get(fid, 0) + 1
-    state = tuple(sorted((fid << 6) | e for fid, e in parts.items()))
+    state = tuple(sorted((fid << evaluator.bits) | e for fid, e in parts.items()))
     return evaluator.evaluate(state)
 
 

@@ -111,51 +111,6 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Root-basis action.  Expressing elements on the simple-root basis makes the
-# "does appending s_i keep the word reduced" test a sign check: column i of
-# the root matrix is the image of root a_i, and l(w s_i) > l(w) iff that
-# image is a positive root, i.e. its first nonzero coordinate is positive.
-# Matrices here are stored as tuples of COLUMNS to make right multiplication
-# by a generator a cheap column update.
-# ---------------------------------------------------------------------------
-
-
-def root_identity(n: int) -> Matrix:
-    return identity_matrix(n)
-
-
-def root_apply_right(cartan: CartanMatrix, cols: Matrix, g: int) -> Matrix:
-    """Columns of P @ R_g given the columns of P: col_b -= c[b][g] * col_g."""
-    n = len(cols)
-    colg = cols[g - 1]
-    out = []
-    for b in range(n):
-        c = cartan.entries[b][g - 1]
-        if c == 0:
-            out.append(cols[b])
-        else:
-            cb = cols[b]
-            out.append(tuple(cb[k] - c * colg[k] for k in range(n)))
-    return tuple(out)
-
-
-def root_matrix_cols(cartan: CartanMatrix, word) -> Matrix:
-    """Root-basis matrix of a word, stored column-wise."""
-    cols = root_identity(cartan.rank)
-    for g in word:
-        cols = root_apply_right(cartan, cols, g)
-    return cols
-
-
-def column_positive(col: tuple[int, ...]) -> bool:
-    """Sign of a +-root in root coordinates: first nonzero entry decides."""
-    for x in col:
-        if x:
-            return x > 0
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Coset tables.
 # ---------------------------------------------------------------------------
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flagcalc import builtin_cartan, structure_matrix, triangular_operator
+from flagcalc import builtin_cartan, enumerate_cosets, structure_matrix, triangular_operator
 from flagcalc.characteristics import (
     GradedIntPolynomial,
     StructureMatrix,
@@ -11,6 +11,7 @@ from flagcalc.characteristics import (
     multiply_schubert,
 )
 from flagcalc.errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
+from flagcalc.weyl import element_of_word
 
 
 def test_structure_matrices_g2():
@@ -144,7 +145,6 @@ def test_factored_matches_expanded_operator():
     rng = random.Random(99)
     for series, rank, k_set in [("A", 3, {2}), ("G", 2, {1, 2}), ("B", 2, {1, 2})]:
         cm = builtin_cartan(series, rank)
-        from flagcalc import enumerate_cosets
         table = enumerate_cosets(cm, k_set)
         entries = list(table.entries())
         for _ in range(120):
@@ -181,3 +181,33 @@ def test_g94_spot_value(g94):
     c4 = g94.lookup_word([1, 2, 3, 4])
     value = characteristic(g94, top, [c4] * 5)
     assert value == 1
+
+
+@pytest.mark.parametrize("series, rank", [("G", 2), ("A", 3), ("B", 3), ("C", 3)])
+def test_masks_match_brute_force(series, rank):
+    """Every l(u)-subset of w's positions whose subword is u, found by brute force."""
+    cm = builtin_cartan(series, rank)
+    table = enumerate_cosets(cm, set(range(1, rank + 1)))
+    entries = list(table.entries())
+    for w in entries:
+        m = len(w.word)
+        # element of each position subset's subword, grouped by subset size
+        by_size: dict = {}
+        for mask in range(1 << m):
+            sub = [w.word[q] for q in range(m) if mask >> q & 1]
+            by_size.setdefault(len(sub), []).append((element_of_word(cm, sub), mask))
+        for u in entries:
+            if u.m > m:
+                continue
+            target = element_of_word(cm, u.word)
+            expected = tuple(mask for elem, mask in by_size[u.m] if elem == target)
+            assert class_factor_masks(table, w, u) == expected, (w.word, u.word)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+def test_long_word_characteristic(n):
+    """h^n = 1 on CP^n: target words at and beyond 64 letters."""
+    table = enumerate_cosets(builtin_cartan("A", n), {1})
+    top = table.entry(n, 1)
+    h = table.lookup_word([1])
+    assert characteristic(table, top, [h] * n) == 1

@@ -63,6 +63,14 @@ def test_char_small_value(runner):
     assert result.output.strip() == "c2^2 = 1"
 
 
+def test_char_long_word(runner):
+    # top class of CP^64: a target word of length 64
+    result = runner.invoke(main, ["char", "--group", "A64", "--k", "1",
+                                  "--classes", "[1]^64"])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == "[1]^64 = 1"
+
+
 def test_char_class_specifier_forms(runner):
     # five spellings of the same degree-4 monomial c1^2 * c2
     for spec in ["c1^2 c2", "[2] [2] [1,2]", "(1,1)^2 (2,1)", "part:1 part:1 part:1,1",
