@@ -32,7 +32,6 @@ from .errors import (
     NotTypeA,
     OutOfRange,
     ResourceLimit,
-    SizeMismatch,
     TruncatedTable,
 )
 from .intlinalg import integer_diagonalize, smith_normal_form
@@ -58,7 +57,6 @@ from .weyl import (
     CosetTable,
     element_of_word,
     enumerate_cosets,
-    lookup,
     simple_reflection,
     top_element,
 )

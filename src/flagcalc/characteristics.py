@@ -404,12 +404,6 @@ class SchubertExpansion:
     degree: int
     terms: tuple[tuple[tuple[int, int], int], ...]  # (((m, i), coef), ...)
 
-    def coefficient(self, m: int, i: int) -> int:
-        for (mm, ii), c in self.terms:
-            if (mm, ii) == (m, i):
-                return c
-        return 0
-
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {idx: c for idx, c in self.terms}
 

@@ -20,7 +20,6 @@ import sys
 import click
 
 from . import __version__
-from .cache import get_table, table_to_json
 from .cartan import CartanMatrix, from_json, parse_group_label
 from .characteristics import characteristic, multiply_schubert
 from .errors import FlagcalcError, ResourceLimit
@@ -31,7 +30,7 @@ from .presentation import (
     find_relations,
     schubert_polynomials,
 )
-from .weyl import CosetEntry, CosetTable, top_element
+from .weyl import CosetEntry, CosetTable, enumerate_cosets, top_element
 
 
 def _fail(exc: FlagcalcError) -> None:
@@ -48,8 +47,6 @@ def group_options(f):
                      help="Parabolic subset: comma-separated nodes, or 'all'.")(f)
     f = click.option("--max-len", type=int, default=None,
                      help="Truncate the coset table at this length.")(f)
-    f = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
-                     help="Coset-table cache directory (or FLAGCALC_CACHE_DIR).")(f)
     f = click.option("--limit", type=int, default=None,
                      help="Refuse enumerations beyond this many cosets.")(f)
     return f
@@ -73,10 +70,22 @@ def _resolve_k(k_spec: str, rank: int) -> frozenset[int]:
         raise click.UsageError(f"cannot parse K specifier {k_spec!r}")
 
 
-def _load_table(group_label, cartan_file, k_spec, max_len, cache_dir, limit) -> CosetTable:
+def _load_table(group_label, cartan_file, k_spec, max_len, limit) -> CosetTable:
     cartan = _resolve_cartan(group_label, cartan_file)
     k_set = _resolve_k(k_spec, cartan.rank)
-    return get_table(cartan, k_set, max_len, cache_dir, limit)
+    kwargs = {} if limit is None else {"limit": limit}
+    return enumerate_cosets(cartan, k_set, max_len, **kwargs)
+
+
+def _table_json(table: CosetTable) -> dict:
+    return {
+        "schema": "coset-table/1",
+        "group": table.cartan.label or table.cartan.to_json(),
+        "cartan": table.cartan.to_json(),
+        "K": sorted(table.k_set),
+        "max_length": table.max_length,
+        "entries": [{"m": e.m, "i": e.i, "word": list(e.word)} for e in table.entries()],
+    }
 
 
 _TOKEN_RE = re.compile(
@@ -155,12 +164,12 @@ def main() -> None:
 @group_options
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
-def decompose(group_label, cartan_file, k_spec, max_len, cache_dir, limit, fmt):
+def decompose(group_label, cartan_file, k_spec, max_len, limit, fmt):
     """Enumerate minimal coset representatives with minimized words."""
     try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, cache_dir, limit)
+        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         if fmt == "json":
-            click.echo(json.dumps(table_to_json(table)))
+            click.echo(json.dumps(_table_json(table)))
         elif fmt == "csv":
             buf = io.StringIO()
             writer = _csv.writer(buf)
@@ -185,11 +194,11 @@ def decompose(group_label, cartan_file, k_spec, max_len, cache_dir, limit, fmt):
               help="Whitespace-separated class factors, e.g. \"c1^3 c2^2\".")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
-def char(group_label, cartan_file, k_spec, max_len, cache_dir, limit,
+def char(group_label, cartan_file, k_spec, max_len, limit,
          w_spec, classes_spec, fmt):
     """Characteristic number of a Schubert-class monomial against a class."""
     try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, cache_dir, limit)
+        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         w = _resolve_target(table, w_spec)
         classes = parse_classes(table, classes_spec)
         value = characteristic(table, w, classes)
@@ -215,11 +224,11 @@ def char(group_label, cartan_file, k_spec, max_len, cache_dir, limit,
 @click.option("--v", "v_spec", required=True, metavar="CLASS")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
-def multiply(group_label, cartan_file, k_spec, max_len, cache_dir, limit,
+def multiply(group_label, cartan_file, k_spec, max_len, limit,
              u_spec, v_spec, fmt):
     """Expand the product of two Schubert classes in the Schubert basis."""
     try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, cache_dir, limit)
+        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         u = _resolve_class(table, u_spec)
         v = _resolve_class(table, v_spec)
         expansion = multiply_schubert(table, u, v)
@@ -292,10 +301,10 @@ def _presentation_json(gens: GeneratorSet, relations, bound: int) -> dict:
 @click.option("--max-deg", type=int, default=None,
               help="Certify the presentation up to this degree (default: top).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def present(group_label, cartan_file, k_spec, max_len, cache_dir, limit, max_deg, fmt):
+def present(group_label, cartan_file, k_spec, max_len, limit, max_deg, fmt):
     """Generators and relations of the intersection ring, degree-bounded."""
     try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, cache_dir, limit)
+        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         bound = max_deg if max_deg is not None else table.top_length
         gens = find_generators(table, bound)
         pres = find_relations(table, gens, bound)
@@ -319,10 +328,10 @@ def present(group_label, cartan_file, k_spec, max_len, cache_dir, limit, max_deg
 @group_options
 @click.option("--deg", type=int, required=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def schubpoly(group_label, cartan_file, k_spec, max_len, cache_dir, limit, deg, fmt):
+def schubpoly(group_label, cartan_file, k_spec, max_len, limit, deg, fmt):
     """Schubert polynomials of every class in one degree."""
     try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, cache_dir, limit)
+        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         gens = find_generators(table, deg)
         polys = schubert_polynomials(table, gens, deg)
         if fmt == "json":
@@ -368,10 +377,10 @@ def lr(lam, mu, nu):
 
 @oracle.command()
 @group_options
-def crosscheck(group_label, cartan_file, k_spec, max_len, cache_dir, limit):
+def crosscheck(group_label, cartan_file, k_spec, max_len, limit):
     """Compare every pairwise product against the Littlewood-Richardson rule."""
     try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, cache_dir, limit)
+        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         entries = list(table.entries())
         checked = 0
         for a, u in enumerate(entries):

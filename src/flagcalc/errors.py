@@ -53,13 +53,5 @@ class NotSingletonK(FlagcalcError):
     """A Grassmannian-only operation needs K to be a single node."""
 
 
-class SizeMismatch(FlagcalcError):
-    """Partition sizes are inconsistent for the requested coefficient."""
-
-
 class OutOfRange(FlagcalcError):
     """A numeric argument falls outside its documented range."""
-
-
-class CacheError(FlagcalcError):
-    """A disk cache entry could not be written or read back."""

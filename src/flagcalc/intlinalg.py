@@ -8,7 +8,6 @@ degree), which keeps the classical minimal-pivot algorithms comfortable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 def _copy(mat) -> list[list[int]]:
@@ -21,12 +20,11 @@ def _eye(n: int) -> list[list[int]]:
 
 @dataclass
 class SNFResult:
-    """P @ M @ Q = D with P, Q unimodular; inverses tracked alongside."""
+    """P @ M @ Q = D with P, Q unimodular; Q's inverse tracked alongside."""
 
     d: list[list[int]]
     p: list[list[int]]
     q: list[list[int]]
-    p_inv: list[list[int]]
     q_inv: list[list[int]]
 
     @property
@@ -47,26 +45,20 @@ def smith_normal_form(mat) -> SNFResult:
     m = _copy(mat)
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    p, p_inv = _eye(rows), _eye(rows)
+    p = _eye(rows)
     q, q_inv = _eye(cols), _eye(cols)
 
     def row_axpy(i, j, k):  # row_i += k * row_j
         m[i] = [a + k * b for a, b in zip(m[i], m[j])]
         p[i] = [a + k * b for a, b in zip(p[i], p[j])]
-        for r in p_inv:
-            r[j] -= k * r[i]
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
         p[i], p[j] = p[j], p[i]
-        for r in p_inv:
-            r[i], r[j] = r[j], r[i]
 
     def row_neg(i):
         m[i] = [-a for a in m[i]]
         p[i] = [-a for a in p[i]]
-        for r in p_inv:
-            r[i] = -r[i]
 
     def col_axpy(i, j, k):  # col_i += k * col_j
         for r in m:
@@ -126,7 +118,7 @@ def smith_normal_form(mat) -> SNFResult:
             if offender is None:
                 break
             row_axpy(t, offender, 1)
-    return SNFResult(m, p, q, p_inv, q_inv)
+    return SNFResult(m, p, q, q_inv)
 
 
 def integer_diagonalize(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -262,10 +254,3 @@ def solve_in_row_lattice(basis_rows: list[list[int]], vec) -> list[int] | None:
             for jj in range(n):
                 out[jj] += k * u[idx][jj]
     return out
-
-
-def content(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g

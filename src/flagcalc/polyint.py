@@ -8,18 +8,6 @@ bare keeps the hot loops in the elimination operator cheap.
 from __future__ import annotations
 
 
-def poly_add_into(acc: dict, p: dict, scale: int = 1) -> None:
-    """acc += scale * p, dropping cancelled terms."""
-    if scale == 0:
-        return
-    for e, c in p.items():
-        v = acc.get(e, 0) + scale * c
-        if v:
-            acc[e] = v
-        else:
-            acc.pop(e, None)
-
-
 def poly_mul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
@@ -33,19 +21,6 @@ def poly_mul(a: dict, b: dict) -> dict:
             else:
                 del out[e]
     return out
-
-
-def poly_pow(p: dict, e: int, one_key: tuple) -> dict:
-    """p**e by repeated squaring; one_key is the all-zero exponent tuple."""
-    result = {one_key: 1}
-    base = p
-    while e:
-        if e & 1:
-            result = poly_mul(result, base)
-        e >>= 1
-        if e:
-            base = poly_mul(base, base)
-    return result
 
 
 class LinearPowerCache:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CartanMatrix
-from .errors import EmptyK, IndexOutOfRange, NotFound, ResourceLimit, TruncatedTable
+from .errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
+                     TruncatedTable)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -38,29 +39,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
-
-
-def int_det(a: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def simple_reflection(cartan: CartanMatrix, i: int) -> Matrix:
@@ -117,16 +95,11 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 
 @dataclass(frozen=True)
 class CosetEntry:
-    """One minimal coset representative: index (m, i), minimized word, matrix."""
+    """One minimal coset representative: index (m, i) and minimized word."""
 
     m: int
     i: int
     word: tuple[int, ...]
-    matrix: Matrix
-
-    @property
-    def length(self) -> int:
-        return self.m
 
 
 class CosetTable:
@@ -198,11 +171,6 @@ class CosetTable:
             raise TruncatedTable(f"{what} needs a complete table "
                                  f"(built with max_length={self.max_length})")
 
-    def describe(self) -> str:
-        g = self.cartan.label or f"rank-{self.cartan.rank}"
-        k = ",".join(str(j) for j in sorted(self.k_set))
-        return f"{g} K={{{k}}}"
-
 
 def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
                      limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
@@ -219,19 +187,20 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
     for j in k_set:
         if not 1 <= j <= n:
             raise IndexOutOfRange(f"K contains {j}, outside 1..{n}")
+    if max_length is not None and max_length < 0:
+        raise OutOfRange(f"max_length must be nonnegative, got {max_length}")
 
     v0 = tuple(1 if j + 1 in k_set else 0 for j in range(n))
-    ident = identity_matrix(n)
     seen: dict[tuple[int, ...], tuple[int, int]] = {}
     layers: list[list[CosetEntry]] = []
-    frontier: dict[tuple[int, ...], tuple[tuple[int, ...], Matrix]] = {v0: ((), ident)}
+    frontier: dict[tuple[int, ...], tuple[int, ...]] = {v0: ()}
     total = 0
     depth = 0
     while frontier:
-        ordered = sorted(frontier.items(), key=lambda kv: kv[1][0])
+        ordered = sorted(frontier.items(), key=lambda kv: kv[1])
         layer = []
-        for idx, (vec, (word, mat)) in enumerate(ordered, start=1):
-            layer.append(CosetEntry(depth, idx, word, mat))
+        for idx, (vec, word) in enumerate(ordered, start=1):
+            layer.append(CosetEntry(depth, idx, word))
             seen[vec] = (depth, idx)
         layers.append(layer)
         total += len(layer)
@@ -239,16 +208,16 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
             raise ResourceLimit(f"coset count exceeded limit={limit}")
         if max_length is not None and depth >= max_length:
             break
-        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], Matrix]] = {}
-        for vec, (word, mat) in frontier.items():
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for vec, word in frontier.items():
             for g in range(1, n + 1):
                 child = _apply_gen_vec(cartan, g, vec)
                 if child in seen or child == vec:
                     continue
                 cand_word = (g,) + word
                 known = nxt.get(child)
-                if known is None or cand_word < known[0]:
-                    nxt[child] = (cand_word, _apply_gen_mat(cartan, g, mat))
+                if known is None or cand_word < known:
+                    nxt[child] = cand_word
         frontier = nxt
         depth += 1
     # if the bound was never reached the table is complete despite the cap
@@ -264,12 +233,3 @@ def top_element(table: CosetTable) -> tuple[tuple[int, ...], int]:
         raise NotFound("table has no unique top element")  # pragma: no cover
     return top[0].word, top[0].m
 
-
-def lookup(table: CosetTable, *, word=None, index=None) -> CosetEntry:
-    """Fetch an entry either by (m, i) index or by an arbitrary word."""
-    if (word is None) == (index is None):
-        raise NotFound("lookup needs exactly one of word= or index=")
-    if index is not None:
-        m, i = index
-        return table.entry(m, i)
-    return table.lookup_word(word)

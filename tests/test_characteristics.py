@@ -211,3 +211,60 @@ def test_long_word_characteristic(n):
     top = table.entry(n, 1)
     h = table.lookup_word([1])
     assert characteristic(table, top, [h] * n) == 1
+
+
+def _positive_coroots(cm):
+    """Each positive coroot beta^v with a word u such that beta = u(alpha_i).
+
+    Coroots are in simple-coroot coordinates.  With c[i][j] = <alpha_i, alpha_j^v>,
+    s_j(alpha_i^v) = alpha_i^v - c[j][i] alpha_j^v.  Every positive coroot is
+    reached from a simple one through positive coroots.
+    """
+    n = cm.rank
+    found = {}
+    frontier = []
+    for i in range(1, n + 1):
+        simple = tuple(int(r == i - 1) for r in range(n))
+        found[simple] = ((), i)
+        frontier.append(simple)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            u, i = found[x]
+            for j in range(1, n + 1):
+                pairing = sum(cm.c(j, r + 1) * x[r] for r in range(n))
+                y = tuple(x[r] - pairing * (r == j - 1) for r in range(n))
+                if y != x and min(y) >= 0 and y not in found:
+                    found[y] = ((j,) + u, i)
+                    nxt.append(y)
+        frontier = nxt
+    return found
+
+
+_DUAL_RULE = ("the engine follows the Chevalley rule with root coefficients <omega_k, beta> "
+              "(the Langlands-dual rule) outside simply-laced types; ROADMAP item 5")
+
+
+@pytest.mark.parametrize("series, rank", [
+    ("A", 3), ("D", 4),
+    *(pytest.param(s, r, marks=pytest.mark.xfail(strict=True, reason=_DUAL_RULE))
+      for s, r in [("B", 2), ("B", 3), ("C", 3), ("G", 2)]),
+])
+def test_chevalley_formula(series, rank):
+    """s_{s_k} * s_w = sum of <omega_k, beta^v> s_{w s_beta} over l(w s_beta) = l(w) + 1."""
+    cm = builtin_cartan(series, rank)
+    table = enumerate_cosets(cm, set(range(1, rank + 1)))
+    coroots = _positive_coroots(cm)
+    for w in table.entries():
+        if w.m == table.top_length:
+            continue
+        for k in range(1, rank + 1):
+            expected = {}
+            for coroot, (u, i) in coroots.items():
+                if coroot[k - 1] == 0:
+                    continue
+                target = table.lookup_word(w.word + u + (i,) + tuple(reversed(u)))
+                if target.m == w.m + 1:
+                    expected[(target.m, target.i)] = coroot[k - 1]
+            got = multiply_schubert(table, table.lookup_word((k,)), w).as_dict()
+            assert got == expected, (w.word, k)

@@ -24,16 +24,44 @@ def test_decompose_text_matches_golden(runner):
     assert lines == expected
 
 
-def test_decompose_json_schema(runner):
+def test_decompose_json_schema(runner, tmp_path):
     result = runner.invoke(main, ["decompose", "--group", "A3", "--k", "2",
                                   "--format", "json"])
     assert result.exit_code == 0
     obj = json.loads(result.output)
+    assert list(obj) == ["schema", "group", "cartan", "K", "max_length", "entries"]
     assert obj["schema"] == "coset-table/1"
     assert obj["group"] == "A3"
+    assert obj["cartan"] == {"rank": 3, "entries": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}
     assert obj["K"] == [2]
+    assert obj["max_length"] is None
     assert obj["entries"][0] == {"m": 0, "i": 1, "word": []}
     assert len(obj["entries"]) == 6
+    result = runner.invoke(main, ["decompose", "--group", "A3", "--k", "2",
+                                  "--max-len", "2", "--format", "json"])
+    assert result.exit_code == 0
+    obj = json.loads(result.output)
+    assert obj["max_length"] == 2
+    assert [e["m"] for e in obj["entries"]] == [0, 1, 2, 2]
+    # an unlabelled matrix is reported as the matrix itself
+    g2 = {"rank": 2, "entries": [[2, -1], [-3, 2]]}
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps(g2))
+    result = runner.invoke(main, ["decompose", "--cartan-file", str(path),
+                                  "--k", "1", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    obj = json.loads(result.output)
+    assert obj["group"] == g2
+    assert obj["cartan"] == g2
+    assert obj["max_length"] is None
+    assert len(obj["entries"]) == 6
+
+
+def test_decompose_negative_max_len_exits_one(runner):
+    result = runner.invoke(main, ["decompose", "--group", "A3", "--k", "2",
+                                  "--max-len", "-3", "--format", "json"])
+    assert result.exit_code == 1
+    assert "OutOfRange" in result.output
 
 
 def test_decompose_csv(runner):
@@ -147,25 +175,11 @@ def test_char_x_power_spelling(runner):
     assert result.output.strip().endswith("= 119")  # c1^5 c3^5 at the top degree
 
 
-def test_cache_round_trip(runner, tmp_path):
-    cache = str(tmp_path / "cache")
-    first = runner.invoke(main, ["decompose", "--group", "F4", "--k", "all",
-                                 "--cache-dir", cache, "--format", "csv"])
-    assert first.exit_code == 0
-    files = list((tmp_path / "cache").glob("*.json"))
-    assert len(files) == 1
-    second = runner.invoke(main, ["decompose", "--group", "F4", "--k", "all",
-                                  "--cache-dir", cache, "--format", "csv"])
-    assert second.output == first.output
-    assert len(first.output.strip().splitlines()) == 1 + 1152  # header + entries
-
-
-def test_cache_env_var(runner, tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("FLAGCALC_CACHE_DIR", str(cache))
-    result = runner.invoke(main, ["decompose", "--group", "A3", "--k", "2"])
+def test_decompose_f4_csv(runner):
+    result = runner.invoke(main, ["decompose", "--group", "F4", "--k", "all",
+                                  "--format", "csv"])
     assert result.exit_code == 0
-    assert len(list(cache.glob("*.json"))) == 1
+    assert len(result.output.strip().splitlines()) == 1 + 1152  # header + entries
 
 
 def test_multiply_g94_words(runner):
@@ -179,39 +193,6 @@ def test_multiply_g94_words(runner):
         {"m": 4, "i": 2, "word": [2, 3, 5, 4], "coef": 1},
         {"m": 4, "i": 3, "word": [3, 6, 5, 4], "coef": 1},
     ]
-
-
-def test_cache_key_varies_with_k(runner, tmp_path):
-    cache = str(tmp_path / "cache")
-    runner.invoke(main, ["decompose", "--group", "A3", "--k", "1", "--cache-dir", cache])
-    runner.invoke(main, ["decompose", "--group", "A3", "--k", "2", "--cache-dir", cache])
-    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
-
-
-def test_cache_corruption_recovers(runner, tmp_path):
-    cache = str(tmp_path / "cache")
-    args = ["decompose", "--group", "A3", "--k", "2", "--cache-dir", cache]
-    first = runner.invoke(main, args)
-    for path in (tmp_path / "cache").glob("*.json"):
-        path.write_text("not json at all")
-    with pytest.warns(UserWarning, match="ignoring unusable cache file"):
-        second = runner.invoke(main, args)
-    assert second.exit_code == 0
-    assert second.output == first.output
-
-
-def test_cache_stale_schema_ignored(runner, tmp_path):
-    cache = str(tmp_path / "cache")
-    args = ["decompose", "--group", "A3", "--k", "2", "--cache-dir", cache]
-    first = runner.invoke(main, args)
-    for path in (tmp_path / "cache").glob("*.json"):
-        obj = json.loads(path.read_text())
-        obj["schema"] = "coset-table/0"
-        path.write_text(json.dumps(obj))
-    with pytest.warns(UserWarning, match="unsupported schema"):
-        second = runner.invoke(main, args)
-    assert second.exit_code == 0
-    assert second.output == first.output
 
 
 def test_batch_mode(runner):
@@ -261,7 +242,7 @@ def test_cartan_file_input(runner, tmp_path):
 def test_help_lists_documented_flags(runner):
     for cmd, flags in [
         ("decompose", ["--group", "--cartan-file", "--k", "--max-len", "--format",
-                       "--cache-dir", "--limit"]),
+                       "--limit"]),
         ("char", ["--w", "--classes", "--format"]),
         ("multiply", ["--u", "--v", "--format"]),
         ("present", ["--max-deg", "--format"]),

@@ -1,33 +1,10 @@
-import random
-
-from flagcalc.polyint import LinearPowerCache, poly_add_into, poly_mul, poly_pow
+from flagcalc.polyint import LinearPowerCache, poly_mul
 
 
 def test_poly_mul_basic():
     a = {(1, 0): 1, (0, 1): 1}
     assert poly_mul(a, a) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
     assert poly_mul(a, {}) == {}
-
-
-def test_poly_pow_matches_repeated_mul():
-    rng = random.Random(1)
-    one = (0, 0, 0)
-    for _ in range(30):
-        p = {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-3, 3)
-             for _ in range(4)}
-        p = {e: c for e, c in p.items() if c}
-        direct = {one: 1}
-        for e in range(5):
-            assert poly_pow(p, e, one) == direct
-            direct = poly_mul(direct, p)
-
-
-def test_poly_add_into_cancels():
-    acc = {(1,): 2}
-    poly_add_into(acc, {(1,): -2, (0,): 1})
-    assert acc == {(0,): 1}
-    poly_add_into(acc, {(0,): 5}, scale=0)
-    assert acc == {(0,): 1}
 
 
 def test_linear_power_cache():

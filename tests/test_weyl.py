@@ -1,10 +1,12 @@
 import pytest
 
-from flagcalc import builtin_cartan, element_of_word, enumerate_cosets, lookup, simple_reflection, top_element
-from flagcalc.errors import EmptyK, IndexOutOfRange, NotFound, ResourceLimit, TruncatedTable
-from flagcalc.weyl import identity_matrix, int_det, mat_mul, mat_vec
+from flagcalc import builtin_cartan, element_of_word, enumerate_cosets, simple_reflection, top_element
+from flagcalc.errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
+                             TruncatedTable)
+from flagcalc.weyl import identity_matrix, mat_mul, mat_vec
 
 from conftest import load_data
+from test_intlinalg import int_det
 
 SMALL_GROUPS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
@@ -118,16 +120,14 @@ def test_top_element_requires_complete(g94_len8):
 
 
 def test_lookup(g94):
-    assert lookup(g94, index=(2, 1)).word == (3, 4)
-    entry = lookup(g94, word=(4, 3, 5, 4))
+    assert g94.entry(2, 1).word == (3, 4)
+    entry = g94.lookup_word((4, 3, 5, 4))
     assert (entry.m, entry.i) == (4, 4)
-    assert lookup(g94, index=(0, 1)).word == ()
+    assert g94.entry(0, 1).word == ()
     # non-minimal words reduce to their representative
-    assert lookup(g94, word=(4, 4, 4)).word == (4,)
+    assert g94.lookup_word((4, 4, 4)).word == (4,)
     with pytest.raises(NotFound):
-        lookup(g94, index=(2, 9))
-    with pytest.raises(NotFound):
-        lookup(g94, word=(4,), index=(1, 1))
+        g94.entry(2, 9)
 
 
 def test_lookup_outside_truncation(g94, g94_len8):
@@ -145,7 +145,7 @@ def test_prefix_minimality_small_groups():
         table = enumerate_cosets(cm, set(range(1, rank + 1)))
         minword = {}
         for e in table.entries():
-            minword[e.matrix] = e.word
+            minword[element_of_word(cm, e.word)] = e.word
         for e in table.entries():
             for cut in range(e.m + 1):
                 prefix = e.word[:cut]
@@ -169,9 +169,10 @@ def test_coset_totals_are_index_counts(g42, g52, g63, e6p2, cp3):
 
 
 def test_matrix_reconstruction(g42, g2t):
+    # every stored word reduces back to its own entry
     for table in (g42, g2t):
         for e in table.entries():
-            assert element_of_word(table.cartan, e.word) == e.matrix
+            assert table.lookup_word(e.word) is e
 
 
 def test_enumerate_errors():
@@ -182,6 +183,8 @@ def test_enumerate_errors():
         enumerate_cosets(a3, {7})
     with pytest.raises(ResourceLimit):
         enumerate_cosets(a3, {1, 2, 3}, limit=5)
+    with pytest.raises(OutOfRange):
+        enumerate_cosets(a3, {2}, max_length=-3)
 
 
 def test_unreached_bound_is_complete():
