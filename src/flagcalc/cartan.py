@@ -9,6 +9,7 @@ c[i][j] = 2(a_i, a_j) / (a_j, a_j) for simple roots a_1..a_n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvalidSeriesRank, NotCartan
 
@@ -78,6 +79,11 @@ class CartanMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i - 1]
+
+    @cached_property
+    def nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per row, the (0-based column, entry) pairs with a nonzero entry."""
+        return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in self.entries)
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "entries": [list(r) for r in self.entries]}

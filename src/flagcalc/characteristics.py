@@ -13,16 +13,19 @@ the factors, and collapse the product with the elimination rules
          with the top row and column of A deleted.
 
 ``triangular_operator`` applies the rules to an explicitly expanded
-polynomial.  ``characteristic`` evaluates the same functional without ever
-expanding the factor product: it keeps the polynomial as a multiset of
-multilinear factors, splits each factor by the top variable, and memoizes on
-the factor multiset.  Both routes are cross-checked in the test suite.
+polynomial.  The product engine applies the same rules to two factors only:
+the structure constant c^w_{u,v} is the functional of w's word on the product
+of the two mask sums, and these constants are memoized per table as one row
+per unordered pair {u, v}.  A monomial of any length is then folded one
+factor at a time in the Schubert basis, and ``characteristic``,
+``multiply_schubert`` and the presentation's expansion matrices all read from
+the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from operator import add
 
 from .cartan import CartanMatrix
 from .errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
@@ -126,9 +129,14 @@ def triangular_operator(a: StructureMatrix, h) -> int:
                 raise DegreeMismatch(f"term {e} is not degree {m} in {m} variables")
             if c:
                 cur[e] = cur.get(e, 0) + c
+    return _eliminate(cur, m, a.column)
+
+
+def _eliminate(cur: dict, m: int, column) -> int:
+    """Rules i-iii on a degree-m exponent dict; ``column(j)`` is a_{1..j-1, j}."""
     for j in range(m, 1, -1):
         v = j - 1
-        lcoefs = a.column(j)
+        lcoefs = None
         nxt: dict = {}
         for e, c in cur.items():
             r = e[v]
@@ -142,254 +150,19 @@ def triangular_operator(a: StructureMatrix, h) -> int:
                 else:
                     del nxt[base]
                 continue
+            if lcoefs is None:
+                lcoefs = column(j)
             for le, lc in _LPC.power(lcoefs, r - 1).items():
-                key = tuple(x + y for x, y in zip(base, le))
+                key = tuple(map(add, base, le))
                 val = nxt.get(key, 0) + c * lc
                 if val:
                     nxt[key] = val
                 else:
                     del nxt[key]
+        if not nxt:
+            return 0
         cur = nxt
     return cur.get((1,), 0)
-
-
-# ---------------------------------------------------------------------------
-# Factored evaluation of the same functional.
-# ---------------------------------------------------------------------------
-
-Form = tuple[tuple[int, int], ...]  # ((bitmask, coef), ...) sorted by mask
-
-
-def _normalize(terms) -> tuple[int, Form]:
-    """Pull out content and sign so equal factors share one memo key."""
-    if not terms:
-        return 0, ()
-    g = 0
-    for _, c in terms:
-        g = gcd(g, c)
-    if terms[0][1] < 0:
-        g = -g
-    return g, tuple((mask, c // g) for mask, c in terms)
-
-
-class FactoredEvaluator:
-    """Rule-iii elimination on a multiset of multilinear factors.
-
-    A state is the factor multiset of a homogeneous polynomial of degree j in
-    the variables x_1..x_j (j is the summed degree), encoded as a sorted
-    tuple of (form id << bits | exponent) ints, where ``bits`` is the bit
-    length of the word length; no exponent or level exceeds the word length,
-    so the fields never overlap.  Splitting every factor
-    F = G + x_j*H and distributing the elimination of x_j produces child
-    states weighted by binomial coefficients; values are memoized per state,
-    and the memo is shared across every characteristic query against the
-    same target word.
-    """
-
-    def __init__(self, cartan: CartanMatrix, word):
-        word = tuple(word)
-        self.bits = len(word).bit_length()
-        self._forms: list[Form] = []
-        self._ids: dict[Form, int] = {}
-        self._deg: list[int] = []
-        self._supp: list[int] = []
-        self._splits: list[dict[int, tuple]] = []
-        self._opts: dict = {}
-        self.memo: dict = {}
-        # interned, content-normalized elimination form per level
-        self._level_form: list[tuple[int, int] | None] = [None] * (len(word) + 1)
-        # union of elimination-form supports up to each level: a variable
-        # missing from every factor and from this mask can never reappear
-        self._cover: list[int] = [0] * (len(word) + 1)
-        for t, gt in enumerate(word):
-            terms = []
-            for s in range(t):
-                coef = -cartan.c(word[s], gt)
-                if coef:
-                    terms.append((1 << s, coef))
-            supp = 0
-            if terms:
-                scalar, nf = _normalize(tuple(terms))
-                self._level_form[t + 1] = (self.intern(nf), scalar)
-                for mask, _ in terms:
-                    supp |= mask
-            self._cover[t + 1] = self._cover[t] | supp
-
-    def intern(self, form: Form) -> int:
-        fid = self._ids.get(form)
-        if fid is None:
-            fid = len(self._forms)
-            self._ids[form] = fid
-            self._forms.append(form)
-            self._deg.append(form[0][0].bit_count())
-            supp = 0
-            for mask, _ in form:
-                supp |= mask
-            self._supp.append(supp)
-            self._splits.append({})
-        return fid
-
-    def _split(self, fid: int, j: int):
-        """F = G + x_j * H with both sides content-normalized and interned.
-
-        Returns (g_id, g_scalar, h_id, h_scalar, h_const); absent pieces are
-        id None, and a constant derivative is reported through h_const.
-        """
-        got = self._splits[fid].get(j)
-        if got is not None:
-            return got
-        vbit = 1 << (j - 1)
-        g_terms = []
-        h_terms = []
-        for mask, c in self._forms[fid]:
-            if mask & vbit:
-                h_terms.append((mask ^ vbit, c))
-            else:
-                g_terms.append((mask, c))
-        g_id = g_scalar = None
-        if g_terms:
-            g_scalar, nf = _normalize(tuple(g_terms))
-            g_id = self.intern(nf)
-        h_id = h_scalar = h_const = None
-        if h_terms:
-            if len(h_terms) == 1 and h_terms[0][0] == 0:
-                h_const = h_terms[0][1]
-            else:
-                h_scalar, nf = _normalize(tuple(h_terms))
-                h_id = self.intern(nf)
-        result = (g_id, g_scalar, h_id, h_scalar, h_const)
-        self._splits[fid][j] = result
-        return result
-
-    def _build_options(self, fid: int, exp: int, j: int):
-        """Choices (r, scalar, additions) for one factor power at level j."""
-        g_id, g_scalar, h_id, h_scalar, h_const = self._split(fid, j)
-        opts = []
-        for r in range(exp + 1):
-            if r > 0 and h_id is None and h_const is None:
-                continue
-            if r < exp and g_id is None:
-                continue
-            scalar = comb(exp, r)
-            adds = []
-            if r < exp:
-                scalar *= g_scalar ** (exp - r)
-                adds.append((g_id, exp - r))
-            if r > 0:
-                if h_const is not None:
-                    scalar *= h_const ** r
-                else:
-                    scalar *= h_scalar ** r
-                    adds.append((h_id, r))
-            opts.append((r, scalar, tuple(adds)))
-        return tuple(opts)
-
-    def evaluate(self, state) -> int:
-        """Value of a factor-multiset state; packed key entries (fid << bits | exp)."""
-        memo = self.memo
-        got = memo.get(state)
-        if got is not None:
-            return got
-        bits = self.bits
-        low = (1 << bits) - 1
-        deg = self._deg
-        j = 0
-        for packed in state:
-            j += (packed & low) * deg[packed >> bits]
-        if j == 1:
-            val = 0
-            if len(state) == 1 and state[0] & low == 1:
-                if self._forms[state[0] >> bits] == ((1, 1),):
-                    val = 1
-            memo[state] = val
-            return val
-        ocache = self._opts
-        # factors with a single admissible split (typically: the top variable
-        # does not occur in them) form a fixed prefix of every child state;
-        # only genuinely branching factors enter the product below
-        base_r = 0
-        base_scalar = 1
-        fixed_adds: list = []
-        var_opts = []
-        for packed in state:
-            okey = (packed << bits) | j
-            opts = ocache.get(okey)
-            if opts is None:
-                opts = self._build_options(packed >> bits, packed & low, j)
-                ocache[okey] = opts
-            if not opts:
-                memo[state] = 0
-                return 0
-            if len(opts) == 1:
-                r, s, a = opts[0]
-                base_r += r
-                base_scalar *= s
-                fixed_adds.extend(a)
-            else:
-                var_opts.append(opts)
-        level = self._level_form[j]
-        l_id = l_scalar = None
-        if level is not None:
-            l_id, l_scalar = level
-        supp = self._supp
-        uncovered = ((1 << (j - 1)) - 1) & ~self._cover[j - 1]
-        evaluate = self.evaluate
-        # the fixed prefix is shared by every child: pack and sort it once
-        prefix: list = []
-        prefix_supp = 0
-        fixed_adds.sort()
-        cur_fid = -1
-        for fid, e in fixed_adds:
-            if fid == cur_fid:
-                prefix[-1] += e
-            else:
-                prefix.append((fid << bits) | e)
-                prefix_supp |= supp[fid]
-                cur_fid = fid
-        combos = [(base_r, base_scalar, ())]
-        for opts in var_opts:
-            combos = [
-                (big_r + r, scalar * s, extras + a)
-                for big_r, scalar, extras in combos
-                for r, s, a in opts
-            ]
-        total = 0
-        for big_r, scalar, extras in combos:
-            if big_r == 0:
-                continue
-            if big_r > 1:
-                if l_id is None:
-                    continue
-                if l_scalar != 1:
-                    scalar *= l_scalar ** (big_r - 1)
-                extras = extras + ((l_id, big_r - 1),)
-            lst = prefix.copy()
-            child_supp = prefix_supp
-            for fid, e in extras:
-                child_supp |= supp[fid]
-                packed = (fid << bits) | e
-                for ii in range(len(lst)):
-                    f2 = lst[ii] >> bits
-                    if f2 == fid:
-                        lst[ii] += e
-                        break
-                    if f2 > fid:
-                        lst.insert(ii, packed)
-                        break
-                else:
-                    lst.append(packed)
-            # every variable below the new level must stay reachable, either
-            # inside a surviving factor or through a future elimination form
-            if uncovered & ~child_supp:
-                continue
-            child = tuple(lst)
-            v = memo.get(child)
-            if v is None:
-                v = evaluate(child)
-            if v:
-                total += scalar * v
-        memo[state] = total
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +181,6 @@ class SchubertExpansion:
         return {idx: c for idx, c in self.terms}
 
 
-def _word_cache(table: CosetTable, word) -> dict:
-    cache = table._char_cache.get(word)
-    if cache is None:
-        cache = {
-            "eval": FactoredEvaluator(table.cartan, word),
-            "masks": {},
-        }
-        table._char_cache[word] = cache
-    return cache
-
-
 def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple[int, ...]:
     """Position subsets of w's word whose subword equals u in the Weyl group.
 
@@ -432,7 +194,10 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     s_g z.  A branch that picks l(u) positions has v = 1, so it spells a
     reduced word of u and needs no final comparison.
     """
-    cache = _word_cache(table, w.word)["masks"]
+    word_cache = table._char_cache.get(w.word)
+    if word_cache is None:
+        word_cache = table._char_cache[w.word] = {"masks": {}}
+    cache = word_cache["masks"]
     key = (u.m, u.i)
     got = cache.get(key)
     if got is not None:
@@ -461,6 +226,76 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     return masks
 
 
+def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntry) -> int:
+    """c^w_{u,v}: the operator of w's word on the product of the two mask sums."""
+    masks_u = class_factor_masks(table, w, u)
+    masks_v = class_factor_masks(table, w, v)
+    if not masks_u or not masks_v:
+        return 0
+    m = w.m
+    if m == 0:
+        return 1
+    bits = {mask: tuple(mask >> p & 1 for p in range(m)) for mask in masks_u + masks_v}
+    poly: dict = {}
+    for a in masks_u:
+        ea = bits[a]
+        for b in masks_v:
+            e = tuple(map(add, ea, bits[b]))
+            poly[e] = poly.get(e, 0) + 1
+    word = w.word
+    cartan = table.cartan
+
+    def column(j: int) -> tuple[int, ...]:
+        gj = word[j - 1]
+        return tuple(-cartan.c(g, gj) for g in word[:j - 1])
+
+    return _eliminate(poly, m, column)
+
+
+def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> dict:
+    """{(m, i): c^w_{u,v}} over the nonzero constants of layer l(u) + l(v), memoized."""
+    key = ((u.m, u.i), (v.m, v.i))
+    if key[1] < key[0]:
+        key = (key[1], key[0])
+    row = table._rows.get(key)
+    if row is None:
+        row = {}
+        for w in table.layer(u.m + v.m):
+            c = _pair_constant(table, w, u, v)
+            if c:
+                row[(w.m, w.i)] = c
+        table._rows[key] = row
+    return row
+
+
+def monomial_vector(table: CosetTable, classes) -> dict:
+    """Schubert-basis vector {(m, i): coefficient} of the product of the classes.
+
+    Identity factors are ignored.  The factors are sorted largest class first
+    and folded one at a time through the two-factor rows; every prefix's
+    vector is memoized on the table, so monomials that share a prefix share
+    its work.  The returned dict is the memo entry: do not mutate it.
+    """
+    factors = sorted((u for u in classes if u.m > 0), key=lambda u: (u.m, u.i), reverse=True)
+    if not factors:
+        return {(0, 1): 1}
+    keys = tuple((u.m, u.i) for u in factors)
+    memo = table._vectors
+    done = len(keys)
+    while done > 1 and keys[:done] not in memo:
+        done -= 1
+    vec = memo[keys[:done]] if done > 1 else {keys[0]: 1}
+    for t in range(done, len(keys)):
+        g = factors[t]
+        nxt: dict = {}
+        for (m, i), a in vec.items():
+            for idx, c in _row(table, table.entry(m, i), g).items():
+                nxt[idx] = nxt.get(idx, 0) + a * c
+        vec = {idx: c for idx, c in nxt.items() if c}
+        memo[keys[:t + 1]] = vec
+    return vec
+
+
 def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
     """Coefficient of s_w in the product of the given Schubert classes.
 
@@ -468,8 +303,7 @@ def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
     total length equal to l(w); zero-length (identity) factors are allowed
     and ignored.
     """
-    factors = [u for u in classes if u.m > 0]
-    total = sum(u.m for u in factors)
+    total = sum(u.m for u in classes)
     if total != w.m:
         raise DegreeMismatch(
             f"classes have total degree {total}, target has length {w.m}"
@@ -478,18 +312,7 @@ def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
         return 1
     if not table.complete and w.m > table.max_length:
         raise TruncatedTable(f"target length {w.m} beyond max_length={table.max_length}")
-    cache = _word_cache(table, w.word)
-    evaluator: FactoredEvaluator = cache["eval"]
-    parts: dict = {}
-    for u in factors:
-        masks = class_factor_masks(table, w, u)
-        if not masks:
-            return 0
-        form = tuple((mask, 1) for mask in masks)
-        fid = evaluator.intern(form)
-        parts[fid] = parts.get(fid, 0) + 1
-    state = tuple(sorted((fid << evaluator.bits) | e for fid, e in parts.items()))
-    return evaluator.evaluate(state)
+    return monomial_vector(table, classes).get((w.m, w.i), 0)
 
 
 def multiply_schubert(table: CosetTable, u: CosetEntry, v: CosetEntry) -> SchubertExpansion:
@@ -499,9 +322,4 @@ def multiply_schubert(table: CosetTable, u: CosetEntry, v: CosetEntry) -> Schube
         raise TruncatedTable(
             f"product degree {degree} beyond max_length={table.max_length}"
         )
-    terms = []
-    for w in table.layer(degree):
-        c = characteristic(table, w, [u, v])
-        if c:
-            terms.append(((degree, w.i), c))
-    return SchubertExpansion(degree, tuple(terms))
+    return SchubertExpansion(degree, tuple(sorted(_row(table, u, v).items())))

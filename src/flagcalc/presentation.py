@@ -2,7 +2,7 @@
 
 Everything is degree-by-degree integer lattice work.  The expansion matrix of
 degree m writes each monomial in the chosen generators as an integer vector
-over the Schubert basis of that degree (computed by ``characteristic``);
+over the Schubert basis of that degree (read from ``monomial_vector``);
 generators are grown until those vectors span the full lattice, relations are
 a degreewise-minimal generating set of the kernel, and Schubert polynomials
 come out of the Smith normal form of the expansion matrix.
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characteristics import characteristic
-from .errors import NonSurjective, TruncatedTable
+from .characteristics import monomial_vector
+from .errors import NonSurjective, OutOfRange, TruncatedTable
 from .intlinalg import (
     hnf_rows,
     integer_diagonalize,
@@ -117,20 +117,20 @@ def monomial_basis(degrees, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _expand_monomial(table: CosetTable, gens: GeneratorSet, exps, m: int) -> list[int]:
-    classes = []
-    for g, e in zip(gens.entries, exps):
-        classes.extend([g] * e)
-    return [characteristic(table, w, classes) for w in table.layer(m)]
-
-
 def expansion_matrix(table: CosetTable, gens: GeneratorSet, m: int) -> ExpansionMatrix:
     """The b(m) x beta(m) integer matrix of pi_m on the monomial basis."""
+    if m < 0:
+        raise OutOfRange(f"degree must be nonnegative, got {m}")
     if not table.complete and m > table.max_length:
         raise TruncatedTable(f"degree {m} beyond max_length={table.max_length}")
     monomials = tuple(monomial_basis(gens.degrees, m))
-    rows = tuple(tuple(_expand_monomial(table, gens, exps, m)) for exps in monomials)
-    return ExpansionMatrix(m, monomials, rows)
+    layer = table.layer(m)
+    rows = []
+    for exps in monomials:
+        classes = [g for g, e in zip(gens.entries, exps) for _ in range(e)]
+        vec = monomial_vector(table, classes)
+        rows.append(tuple(vec.get((m, w.i), 0) for w in layer))
+    return ExpansionMatrix(m, monomials, tuple(rows))
 
 
 def find_generators(table: CosetTable, max_degree: int | None = None,
@@ -146,6 +146,8 @@ def find_generators(table: CosetTable, max_degree: int | None = None,
     if max_degree is None:
         table.require_complete("find_generators without explicit max_degree")
         max_degree = table.top_length
+    if max_degree < 0:
+        raise OutOfRange(f"max_degree must be nonnegative, got {max_degree}")
     if not table.complete and max_degree > table.max_length:
         raise TruncatedTable(f"max_degree {max_degree} beyond table bound")
     chosen: list[CosetEntry] = []
@@ -224,6 +226,8 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
     if max_degree is None:
         table.require_complete("find_relations without explicit max_degree")
         max_degree = table.top_length
+    if max_degree < 0:
+        raise OutOfRange(f"max_degree must be nonnegative, got {max_degree}")
     degrees = gens.degrees
     relations: list[Relation] = []
     for m in range(1, max_degree + 1):

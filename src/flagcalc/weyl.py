@@ -58,8 +58,10 @@ def _apply_gen_vec(cartan: CartanMatrix, g: int, v: tuple[int, ...]) -> tuple[in
     vg = v[g - 1]
     if vg == 0:
         return v
-    row = cartan.row(g)
-    return tuple(v[r] - row[r] * vg for r in range(len(v)))
+    out = list(v)
+    for r, c in cartan.nonzero_rows[g - 1]:
+        out[r] -= c * vg
+    return tuple(out)
 
 
 def _apply_gen_mat(cartan: CartanMatrix, g: int, m: Matrix) -> Matrix:
@@ -118,7 +120,11 @@ class CosetTable:
         self.layers = layers
         self.max_length = max_length
         self._by_vector = vector_index
+        # memos of characteristics.py: factor masks per target word, two-factor
+        # rows per unordered pair of classes, vectors per sorted monomial
         self._char_cache: dict = {}
+        self._rows: dict = {}
+        self._vectors: dict = {}
 
     @property
     def complete(self) -> bool:

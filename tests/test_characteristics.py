@@ -140,10 +140,17 @@ def test_truncated_table_refuses(g94_len8):
         multiply_schubert(g94_len8, u, v)
 
 
-def test_factored_matches_expanded_operator():
-    """The factored evaluator and the explicit polynomial route agree."""
+def test_composed_matches_direct_operator():
+    """Folding two-factor rows agrees with the operator on the whole product.
+
+    ``characteristic`` composes a k-factor monomial from memoized two-factor
+    constants; here the product of all k mask sums is expanded at once and
+    handed to ``triangular_operator``, with no composition.
+    """
     rng = random.Random(99)
-    for series, rank, k_set in [("A", 3, {2}), ("G", 2, {1, 2}), ("B", 2, {1, 2})]:
+    for series, rank, k_set in [("A", 3, {2}), ("G", 2, {1, 2}), ("B", 2, {1, 2}),
+                                ("B", 3, {1, 2, 3}), ("C", 3, {1, 2, 3}),
+                                ("D", 4, {2}), ("C", 4, {2})]:
         cm = builtin_cartan(series, rank)
         table = enumerate_cosets(cm, k_set)
         entries = list(table.entries())

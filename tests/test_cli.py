@@ -64,6 +64,18 @@ def test_decompose_negative_max_len_exits_one(runner):
     assert "OutOfRange" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["present", "--group", "A3", "--k", "2", "--max-deg", "-3"],
+    ["present", "--group", "A3", "--k", "2", "--max-deg", "-1", "--format", "json"],
+    ["schubpoly", "--group", "A3", "--k", "2", "--deg", "-2"],
+])
+def test_negative_degree_exits_one(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "OutOfRange" in result.output
+    assert "relations" not in result.output
+
+
 def test_decompose_csv(runner):
     result = runner.invoke(main, ["decompose", "--group", "A3", "--k", "2",
                                   "--format", "csv"])

@@ -1,6 +1,6 @@
 import pytest
 
-from flagcalc.errors import NonSurjective
+from flagcalc.errors import NonSurjective, OutOfRange
 from flagcalc.intlinalg import lattice_equal
 from flagcalc.oracle import borel_inverse_components
 from flagcalc.presentation import (
@@ -154,6 +154,21 @@ def test_schubert_polynomials_nonsurjective(g42):
     only_c1 = GeneratorSet((g42.entry(1, 1),))
     with pytest.raises(NonSurjective):
         schubert_polynomials(g42, only_c1, 2)
+
+
+def test_negative_degree_refused(g42):
+    gens = find_generators(g42)
+    with pytest.raises(OutOfRange):
+        find_generators(g42, -1)
+    with pytest.raises(OutOfRange):
+        find_relations(g42, gens, -3)
+    with pytest.raises(OutOfRange):
+        expansion_matrix(g42, gens, -2)
+    with pytest.raises(OutOfRange):
+        schubert_polynomials(g42, gens, -2)
+    assert find_generators(g42, 0).entries == ()
+    assert find_relations(g42, gens, 0).relations == ()
+    assert expansion_matrix(g42, gens, 0).rows == ((1,),)
 
 
 def test_generator_set_from_words(e6p2):
