@@ -54,4 +54,4 @@ class NotSingletonK(FlagcalcError):
 
 
 class OutOfRange(FlagcalcError):
-    """A numeric argument falls outside its documented range."""
+    """An argument falls outside its documented range."""

@@ -76,13 +76,19 @@ def smith_normal_form(mat) -> SNFResult:
 
     for t in range(min(rows, cols)):
         while True:
-            # minimal nonzero pivot in the trailing block
+            # minimal nonzero pivot in the trailing block; nothing beats a
+            # unit and ties keep the first in row-major order, so the scan
+            # stops at the first unit
             best = None
             for i in range(t, rows):
                 for j in range(t, cols):
                     v = abs(m[i][j])
                     if v and (best is None or v < best[0]):
                         best = (v, i, j)
+                        if v == 1:
+                            break
+                if best is not None and best[0] == 1:
+                    break
             if best is None:
                 break
             _, bi, bj = best
@@ -197,21 +203,25 @@ def lattice_equal(rows_a, rows_b, cols: int) -> bool:
     return hnf_rows(rows_a, cols) == hnf_rows(rows_b, cols)
 
 
-def solve_in_row_lattice(basis_rows: list[list[int]], vec) -> list[int] | None:
-    """Integer coefficients c with c @ basis = vec, or None.
+def solve_in_row_lattice(basis_rows: list[list[int]], vecs) -> list[list[int] | None]:
+    """Integer coefficients c with c @ basis = v, for each v in ``vecs``.
 
-    ``basis_rows`` need not be in any normal form; an HNF with transform is
-    built internally.
+    Returns one entry per vector, in order: its coefficients, or None when
+    the vector is not in the row lattice.  ``basis_rows`` need not be in any
+    normal form; one HNF with transform, H = U @ basis, is built and every
+    vector is back-substituted against it (Cohen, GTM 138, section 2.4).
+    When the basis rows are linearly independent the coefficients are unique.
     """
     if not basis_rows:
-        return None if any(vec) else []
+        return [None if any(v) else [] for v in vecs]
     cols = len(basis_rows[0])
     n = len(basis_rows)
     # row-style HNF with transform U: H = U @ basis
     h = [list(r) for r in basis_rows]
     u = _eye(n)
-    exhausted = 0
+    pivots: list[int] = []  # pivots[idx]: pivot column of echelon row idx
     for col in range(cols):
+        exhausted = len(pivots)
         pivot_row = None
         for r in range(exhausted, n):
             if h[r][col]:
@@ -231,26 +241,26 @@ def solve_in_row_lattice(basis_rows: list[list[int]], vec) -> list[int] | None:
             u[pivot_row] = [-x for x in u[pivot_row]]
         h[exhausted], h[pivot_row] = h[pivot_row], h[exhausted]
         u[exhausted], u[pivot_row] = u[pivot_row], u[exhausted]
-        exhausted += 1
-    # back substitution against the echelon rows
-    v = list(vec)
-    coeffs = [0] * n
-    for idx in range(exhausted):
-        pivot_col = next((c for c in range(cols) if h[idx][c]), None)
-        if pivot_col is None:
+        pivots.append(col)
+    out: list[list[int] | None] = []
+    for vec in vecs:
+        # back substitution against the echelon rows
+        v = list(vec)
+        coeffs = []
+        for row, pivot_col in zip(h, pivots):
+            k, rem = divmod(v[pivot_col], row[pivot_col])
+            if rem:
+                break
+            if k:
+                v = [a - k * b for a, b in zip(v, row)]
+            coeffs.append(k)
+        if len(coeffs) < len(pivots) or any(v):
+            out.append(None)
             continue
-        if v[pivot_col] % h[idx][pivot_col]:
-            return None
-        k = v[pivot_col] // h[idx][pivot_col]
-        if k:
-            v = [a - k * b for a, b in zip(v, h[idx])]
-            coeffs[idx] = k
-    if any(v):
-        return None
-    # coeffs are in U-coordinates: c @ H = vec with H = U @ basis
-    out = [0] * n
-    for idx, k in enumerate(coeffs):
-        if k:
-            for jj in range(n):
-                out[jj] += k * u[idx][jj]
+        # coeffs are in U-coordinates: c @ H = vec with H = U @ basis
+        sol = [0] * n
+        for k, u_row in zip(coeffs, u):
+            if k:
+                sol = [a + k * b for a, b in zip(sol, u_row)]
+        out.append(sol)
     return out

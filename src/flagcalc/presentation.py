@@ -17,7 +17,6 @@ from .errors import NonSurjective, OutOfRange, TruncatedTable
 from .intlinalg import (
     hnf_rows,
     integer_diagonalize,
-    kernel_basis,
     lattice_contains,
     smith_normal_form,
     solve_in_row_lattice,
@@ -142,7 +141,10 @@ def find_generators(table: CosetTable, max_degree: int | None = None,
     onto, the first basis class (in index order) whose unit vector enlarges
     the image lattice is adjoined.  ``tie_break="highest"`` scans indexes in
     reverse; the per-degree generator count is invariant under that choice.
+    Any other ``tie_break`` raises OutOfRange.
     """
+    if tie_break not in ("lowest", "highest"):
+        raise OutOfRange(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
     if max_degree is None:
         table.require_complete("find_generators without explicit max_degree")
         max_degree = table.top_length
@@ -218,10 +220,13 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
                    max_degree: int | None = None) -> Presentation:
     """Degreewise-minimal generating set of the relation ideal up to a bound.
 
-    At each degree the kernel lattice of the expansion matrix is compared
-    with the sublattice generated by lower-degree relations; the quotient's
-    minimal generators (one per nontrivial invariant factor of the inclusion,
-    found through Smith normal form) are adjoined as new relations.
+    At each degree one Smith normal form of the expansion matrix checks that
+    the generators span the Schubert basis and gives the kernel lattice (the
+    trailing rows of its left transform).  The multiples of lower-degree
+    relations are written in kernel coordinates in one batched solve (one
+    HNF with transform), and the quotient's minimal generators (one per
+    nontrivial invariant factor of the inclusion, found through a second
+    Smith normal form) are adjoined as new relations.
     """
     if max_degree is None:
         table.require_complete("find_relations without explicit max_degree")
@@ -237,25 +242,21 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
             continue
         index_of = {e: i for i, e in enumerate(monomials)}
         matrix = expansion_matrix(table, gens, m)
-        diag = smith_normal_form([list(r) for r in matrix.rows]).diagonal if matrix.rows else []
-        if beta and (len([d for d in diag if d]) < beta or any(d not in (0, 1) for d in diag)):
+        # one SNF gives both the surjectivity check and the left kernel
+        # (for beta == 0 it is P = I with rank 0: every monomial is a relation)
+        snf = smith_normal_form([list(r) for r in matrix.rows])
+        if snf.rank < beta or any(d not in (0, 1) for d in snf.diagonal):
             raise NonSurjective(f"generators do not span the Schubert basis at degree {m}")
-        kernel = kernel_basis([list(r) for r in matrix.rows])
-        if beta == 0:
-            kernel = [[1 if i == j else 0 for j in range(len(monomials))]
-                      for i in range(len(monomials))]
+        kernel = snf.p[snf.rank:]
         if not kernel:
             continue
         old_rows = _relation_degree_rows(relations, degrees, m, index_of)
         # coordinates of the old sublattice inside the kernel lattice
-        coords = []
-        for row in old_rows:
-            c = solve_in_row_lattice(kernel, row)
-            if c is None:
-                raise NonSurjective(
-                    f"degree-{m} relation multiple escapes the kernel lattice"
-                )  # pragma: no cover
-            coords.append(c)
+        coords = solve_in_row_lattice(kernel, old_rows)
+        if any(c is None for c in coords):
+            raise NonSurjective(
+                f"degree-{m} relation multiple escapes the kernel lattice"
+            )  # pragma: no cover
         rank = len(kernel)
         new_vecs: list[list[int]] = []
         if not coords:

@@ -82,13 +82,18 @@ def test_lattice_membership_and_solve():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        coeffs = [rng.randint(-3, 3) for _ in range(rows)]
-        combo = [sum(coeffs[i] * m[i][j] for i in range(rows)) for j in range(cols)]
         h = hnf_rows(m, cols)
-        assert lattice_contains(h, combo)
-        sol = solve_in_row_lattice(m, combo)
-        assert sol is not None
-        assert [sum(sol[i] * m[i][j] for i in range(rows)) for j in range(cols)] == combo
+        # several combinations in one call, all solved against one HNF
+        combos = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [rng.randint(-3, 3) for _ in range(rows)]
+            combos.append([sum(coeffs[i] * m[i][j] for i in range(rows)) for j in range(cols)])
+        sols = solve_in_row_lattice(m, combos)
+        assert len(sols) == len(combos)
+        for combo, sol in zip(combos, sols):
+            assert lattice_contains(h, combo)
+            assert sol is not None
+            assert [sum(sol[i] * m[i][j] for i in range(rows)) for j in range(cols)] == combo
 
 
 def test_lattice_equality_canonical():
@@ -102,6 +107,11 @@ def test_lattice_equality_canonical():
 
 def test_non_member_detected():
     assert not lattice_contains(hnf_rows([[2, 0], [0, 2]], 2), [1, 0])
-    assert solve_in_row_lattice([[2, 0], [0, 2]], [1, 0]) is None
-    assert solve_in_row_lattice([], [0, 0]) == []
-    assert solve_in_row_lattice([], [1, 0]) is None
+    assert solve_in_row_lattice([[2, 0], [0, 2]], [[1, 0]]) == [None]
+    assert solve_in_row_lattice([], [[0, 0]]) == [[]]
+    assert solve_in_row_lattice([], [[1, 0]]) == [None]
+    # a member, a non-member and the zero vector share one call
+    basis = [[2, 0, 1], [0, 3, 1]]
+    assert solve_in_row_lattice(basis, [[4, -3, 1], [2, 1, 0], [0, 0, 0]]) == [
+        [2, -1], None, [0, 0]]
+    assert solve_in_row_lattice(basis, []) == []

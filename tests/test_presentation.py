@@ -1,5 +1,6 @@
 import pytest
 
+from flagcalc import builtin_cartan, enumerate_cosets
 from flagcalc.errors import NonSurjective, OutOfRange
 from flagcalc.intlinalg import lattice_equal
 from flagcalc.oracle import borel_inverse_components
@@ -73,6 +74,8 @@ def test_generator_count_invariant_under_tie_break(g42, e6p2):
         low = find_generators(table, bound, tie_break="lowest")
         high = find_generators(table, bound, tie_break="highest")
         assert [e.m for e in low.entries] == [e.m for e in high.entries]
+    with pytest.raises(OutOfRange):
+        find_generators(g42, 4, tie_break="lowset")
 
 
 def test_relations_g42_match_borel(g42):
@@ -104,6 +107,62 @@ def _ideal_rows(generators, degrees, m):
                 row[index[key]] = coef
             rows.append(row)
     return rows
+
+
+def _poly_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_mul(a, b):
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out = _poly_add(out, {tuple(x + y for x, y in zip(ea, eb)): ca * cb})
+    return out
+
+
+def _borel_ideal(gens, n):
+    """[(j, e_j(x)) for j = 2..n] with x_k = y_k - y_{k-1}, y_0 = y_n = 0.
+
+    y_k is the degree-1 generator with word (k,).
+    """
+    pos = {e.word: i for i, e in enumerate(gens.entries)}
+
+    def y(k):
+        if k in (0, n):
+            return {}
+        return {tuple(int(i == pos[(k,)]) for i in range(len(gens))): 1}
+
+    elementary = [{(0,) * len(gens): 1}]  # e_0..e_k of x_1..x_k
+    for k in range(1, n + 1):
+        x_k = _poly_add(y(k), y(k - 1), -1)
+        elementary = [
+            _poly_add(elementary[j] if j < k else {},
+                      _poly_mul(x_k, elementary[j - 1]) if j else {})
+            for j in range(k + 1)]
+    return [(j, elementary[j]) for j in range(2, n + 1)]
+
+
+@pytest.mark.parametrize("rank,bound,degrees", [
+    (3, 6, [2, 3, 4]),  # A3/T at full degree
+    (4, 6, [2, 3, 4, 5]),  # A4/T through degree 6
+])
+def test_full_flag_relations_match_borel(rank, bound, degrees):
+    table = enumerate_cosets(builtin_cartan("A", rank), set(range(1, rank + 1)))
+    gens = find_generators(table, bound)
+    assert sorted(e.word for e in gens.entries) == [(k,) for k in range(1, rank + 1)]
+    pres = find_relations(table, gens, bound)
+    assert [r.degree for r in pres.relations] == degrees
+    ours = [(r.degree, r.terms) for r in pres.relations]
+    borel = _borel_ideal(gens, rank + 1)
+    for m in range(1, bound + 1):
+        rows_a = _ideal_rows(ours, gens.degrees, m)
+        rows_b = _ideal_rows(borel, gens.degrees, m)
+        if rows_a or rows_b:
+            assert lattice_equal(rows_a, rows_b, len(monomial_basis(gens.degrees, m)))
 
 
 def test_relations_empty_below_first_kernel(cp3):
