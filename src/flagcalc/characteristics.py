@@ -7,7 +7,8 @@ word, attach to every factor class u the sum of squarefree monomials x_I over
 the position subsets I of w's word whose subword multiplies to u, multiply
 the factors, and collapse the product with the elimination rules
 
-    i)   for a single variable, c * x_1 evaluates to c;
+    i)   for a single variable, c * x_1 evaluates to c (for no variable,
+         the constant c evaluates to c);
     ii)  anything free of the top variable evaluates to 0;
     iii) h * x_m^r  ->  h * (a_{1,m} x_1 + ... + a_{m-1,m} x_{m-1})^(r-1)
          with the top row and column of A deleted.
@@ -19,13 +20,15 @@ of the two mask sums, and these constants are memoized per table as one row
 per unordered pair {u, v}.  A monomial of any length is then folded one
 factor at a time in the Schubert basis, and ``characteristic``,
 ``multiply_schubert`` and the presentation's expansion matrices all read from
-the same rows.
+the same rows.  Both routes run one elimination routine, ``_eliminate``, on
+exponent vectors packed into Python ints (see ``polyint``); the columns of
+A_w and every class's masks in packed form are memoized per target word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import itemgetter, neg
 
 from .cartan import CartanMatrix
 from .errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
@@ -120,29 +123,38 @@ def triangular_operator(a: StructureMatrix, h) -> int:
             raise DegreeMismatch(f"polynomial has {h.num_vars} variables, matrix size {m}")
         if h.degree is not None and h.degree != m:
             raise DegreeMismatch(f"degree {h.degree} != matrix size {m}")
-        cur = dict(h.terms)
+        terms = h.terms
     else:
-        cur = {}
+        terms = {}
         for e, c in h.items():
             e = tuple(e)
-            if len(e) != m or sum(e) != m:
+            if len(e) != m or sum(e) != m or min(e, default=0) < 0:
                 raise DegreeMismatch(f"term {e} is not degree {m} in {m} variables")
             if c:
-                cur[e] = cur.get(e, 0) + c
-    return _eliminate(cur, m, a.column)
+                terms[e] = terms.get(e, 0) + c
+    width = m.bit_length()
+    cur = {sum(x << s * width for s, x in enumerate(e)): c for e, c in terms.items()}
+    return _eliminate(cur, m, [a.column(v + 1) for v in range(m)])
 
 
-def _eliminate(cur: dict, m: int, column) -> int:
-    """Rules i-iii on a degree-m exponent dict; ``column(j)`` is a_{1..j-1, j}."""
-    for j in range(m, 1, -1):
-        v = j - 1
-        lcoefs = None
+def _eliminate(cur: dict, m: int, columns) -> int:
+    """Rules i-iii on a degree-m polynomial in packed exponents.
+
+    A key holds the exponent of x_{s+1} in bits [s*W, (s+1)*W) with
+    W = m.bit_length(); no exponent exceeds m, so no field carries into the
+    next.  ``columns[v]`` is a_{1..v, v+1}, the form that replaces x_{v+1}.
+    """
+    width = m.bit_length()
+    for v in range(m - 1, 0, -1):
+        shift = v * width
+        low = (1 << shift) - 1
+        col = columns[v]
         nxt: dict = {}
         for e, c in cur.items():
-            r = e[v]
+            r = e >> shift
             if r == 0:
                 continue
-            base = e[:v]
+            base = e & low
             if r == 1:
                 val = nxt.get(base, 0) + c
                 if val:
@@ -150,10 +162,8 @@ def _eliminate(cur: dict, m: int, column) -> int:
                 else:
                     del nxt[base]
                 continue
-            if lcoefs is None:
-                lcoefs = column(j)
-            for le, lc in _LPC.power(lcoefs, r - 1).items():
-                key = tuple(map(add, base, le))
+            for le, lc in _LPC.power(col, r - 1, width).items():
+                key = base + le
                 val = nxt.get(key, 0) + c * lc
                 if val:
                     nxt[key] = val
@@ -162,7 +172,8 @@ def _eliminate(cur: dict, m: int, column) -> int:
         if not nxt:
             return 0
         cur = nxt
-    return cur.get((1,), 0)
+    # rule i reads c * x_1; the degree-0 functional reads the constant
+    return cur.get(1 if m else 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +207,7 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     """
     word_cache = table._char_cache.get(w.word)
     if word_cache is None:
-        word_cache = table._char_cache[w.word] = {"masks": {}}
+        word_cache = table._char_cache[w.word] = {"masks": {}, "spreads": {}, "columns": None}
     cache = word_cache["masks"]
     key = (u.m, u.i)
     got = cache.get(key)
@@ -232,24 +243,39 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
     masks_v = class_factor_masks(table, w, v)
     if not masks_u or not masks_v:
         return 0
-    m = w.m
-    if m == 0:
-        return 1
-    bits = {mask: tuple(mask >> p & 1 for p in range(m)) for mask in masks_u + masks_v}
+    memo = table._char_cache[w.word]
     poly: dict = {}
-    for a in masks_u:
-        ea = bits[a]
-        for b in masks_v:
-            e = tuple(map(add, ea, bits[b]))
+    spread_v = _spreads(memo, v, masks_v, w.m)
+    for ea in _spreads(memo, u, masks_u, w.m):
+        for eb in spread_v:
+            e = ea + eb
             poly[e] = poly.get(e, 0) + 1
-    word = w.word
-    cartan = table.cartan
+    columns = memo["columns"]
+    if columns is None:
+        # columns[t][s] = a_{s+1,t+1} = -c[i_{s+1}][i_{t+1}]: entry i_{t+1} of the
+        # Cartan rows of the letters before position t+1, negated
+        rows = [table.cartan.entries[g - 1] for g in w.word]
+        columns = memo["columns"] = [tuple(map(neg, map(itemgetter(g - 1), rows[:t])))
+                                     for t, g in enumerate(w.word)]
+    return _eliminate(poly, w.m, columns)
 
-    def column(j: int) -> tuple[int, ...]:
-        gj = word[j - 1]
-        return tuple(-cartan.c(g, gj) for g in word[:j - 1])
 
-    return _eliminate(poly, m, column)
+def _spreads(memo: dict, u: CosetEntry, masks: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """u's masks on w's word as packed exponents (bit p -> field p), memoized."""
+    got = memo["spreads"].get((u.m, u.i))
+    if got is None:
+        width = m.bit_length()
+        got = memo["spreads"][(u.m, u.i)] = tuple(_spread(mask, width) for mask in masks)
+    return got
+
+
+def _spread(mask: int, width: int) -> int:
+    e = 0
+    while mask:
+        low = mask & -mask
+        e |= 1 << (low.bit_length() - 1) * width
+        mask ^= low
+    return e
 
 
 def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> dict:

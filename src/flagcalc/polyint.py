@@ -1,7 +1,11 @@
 """Sparse exact-integer multivariate polynomial helpers.
 
-Polynomials are plain dicts mapping exponent tuples to nonzero integer
-coefficients; no zero coefficient is ever stored.  Keeping the representation
+Polynomials are plain dicts mapping exponents to nonzero integer
+coefficients; no zero coefficient is ever stored.  ``poly_mul`` works on
+exponent tuples.  The elimination operator uses packed exponents instead:
+one Python int per monomial, with the exponent of x_{s+1} in bits
+[s*width, (s+1)*width), so that multiplying monomials is adding keys.  The
+caller picks a width that no exponent outgrows.  Keeping the representation
 bare keeps the hot loops in the elimination operator cheap.
 """
 
@@ -24,34 +28,35 @@ def poly_mul(a: dict, b: dict) -> dict:
 
 
 class LinearPowerCache:
-    """Powers of linear forms sum_s coefs[s] * x_{s+1}, built incrementally.
+    """Powers of linear forms sum_s coefs[s] * x_{s+1}, in packed exponents.
 
-    Keys are the coefficient tuples themselves; power r is derived from
-    power r-1, so a whole ladder of powers costs one pass.  A soft entry cap
+    Keys are (coefs, r, width); power r is derived from power r-1, so a
+    whole ladder of powers costs one pass.  A soft cap on the stored terms
     keeps long-running sessions bounded.
     """
 
     def __init__(self, max_entries: int = 200_000):
-        self._store: dict[tuple[tuple[int, ...], int], dict] = {}
+        self._store: dict[tuple[tuple[int, ...], int, int], dict] = {}
         self._max_entries = max_entries
         self._size = 0
 
-    def power(self, coefs: tuple[int, ...], r: int) -> dict:
-        m = len(coefs)
+    def power(self, coefs: tuple[int, ...], r: int, width: int) -> dict:
         if r == 0:
-            return {(0,) * m: 1}
-        key = (coefs, r)
+            return {0: 1}
+        key = (coefs, r, width)
         got = self._store.get(key)
         if got is not None:
             return got
-        lin = {}
-        for s, c in enumerate(coefs):
-            if c:
-                e = [0] * m
-                e[s] = 1
-                lin[tuple(e)] = c
-        prev = self.power(coefs, r - 1)
-        cur = poly_mul(prev, lin)
+        lin = [(1 << s * width, c) for s, c in enumerate(coefs) if c]
+        cur: dict = {}
+        for ea, ca in self.power(coefs, r - 1, width).items():
+            for eb, cb in lin:
+                e = ea + eb
+                v = cur.get(e, 0) + ca * cb
+                if v:
+                    cur[e] = v
+                else:
+                    del cur[e]
         if self._size + len(cur) > self._max_entries:
             self._store.clear()
             self._size = 0

@@ -120,11 +120,18 @@ class CosetTable:
         self.layers = layers
         self.max_length = max_length
         self._by_vector = vector_index
-        # memos of characteristics.py: factor masks per target word, two-factor
-        # rows per unordered pair of classes, vectors per sorted monomial
+        # memos of characteristics.py: per target word its factor masks, packed
+        # masks and columns; two-factor rows per unordered pair of classes;
+        # vectors per sorted monomial
         self._char_cache: dict = {}
         self._rows: dict = {}
         self._vectors: dict = {}
+
+    def clear_caches(self) -> None:
+        """Empty the memos that queries fill; later queries rebuild them."""
+        self._char_cache.clear()
+        self._rows.clear()
+        self._vectors.clear()
 
     @property
     def complete(self) -> bool:

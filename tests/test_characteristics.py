@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 
@@ -11,6 +12,7 @@ from flagcalc.characteristics import (
     multiply_schubert,
 )
 from flagcalc.errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
+from flagcalc.polyint import poly_mul
 from flagcalc.weyl import element_of_word
 
 
@@ -97,6 +99,81 @@ def test_operator_degree_mismatch():
         triangular_operator(a, GradedIntPolynomial(3, {(1, 1, 1): 1}))
     with pytest.raises(DegreeMismatch):
         triangular_operator(a, {(1, 0): 1})
+
+
+def test_operator_empty_word():
+    """The degree-0 functional returns the constant, like the identity class's 1."""
+    a = structure_matrix(builtin_cartan("A", 2), ())
+    assert triangular_operator(a, {(): 5}) == 5
+    assert triangular_operator(a, GradedIntPolynomial(0, {(): -3})) == -3
+    assert triangular_operator(a, {}) == 0
+
+
+def test_operator_rejects_negative_exponent():
+    a = StructureMatrix(((0, 1, 2), (0, 0, 3), (0, 0, 0)))
+    with pytest.raises(DegreeMismatch):
+        triangular_operator(a, {(2, -1, 2): 1})
+
+
+def _reference_operator(rows, terms) -> int:
+    """Rules i-iii on exponent tuples, independent of the packed kernel."""
+    m = len(rows)
+    cur = dict(terms)
+    for v in range(m - 1, 0, -1):
+        lin = {tuple(int(t == s) for t in range(v)): rows[s][v] for s in range(v) if rows[s][v]}
+        powers = {1: {(0,) * v: 1}}
+        nxt: dict = {}
+        for e, c in cur.items():
+            r = e[v]
+            if r == 0:
+                continue
+            for k in range(len(powers), r):
+                powers[k + 1] = poly_mul(powers[k], lin)
+            for le, lc in powers[r].items():
+                key = tuple(map(add, e[:v], le))
+                nxt[key] = nxt.get(key, 0) + c * lc
+        cur = nxt
+    return cur.get((1,) if m else (), 0)
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 8, 15, 16])
+def test_operator_packing_widths(m):
+    """Exponents at the top of a field (m - 1 and m) survive the packed kernel.
+
+    Widths are m.bit_length(), so m = 2^k - 1 fills a field and m = 2^k
+    starts a wider one.  The structure matrices are banded with a few far
+    entries, and the random terms use at most four variables; both keep the
+    expansions small at m = 16.
+    """
+    rng = random.Random(1000 + m)
+    for _ in range(2):
+        rows = tuple(
+            tuple(rng.choice([-3, -2, -1, 1, 2, 3])
+                  if s < t and (t - s <= 2 or rng.random() < 0.1) else 0
+                  for t in range(m))
+            for s in range(m)
+        )
+        exps = [(0,) * (m - 1) + (m,),                # x_m^m
+                (0,) * (m - 2) + (m - 1, 1)]          # x_{m-1}^{m-1} x_m
+        for s in rng.sample(range(m - 1), 2):          # x_{s+1}^{m-1} x_m
+            exps.append(tuple((m - 1) * (q == s) + (q == m - 1) for q in range(m)))
+        for _ in range(4):                             # degree m, with the top variable
+            e = [0] * m
+            e[m - 1] = rng.randint(1, 3)
+            support = rng.sample(range(m - 1), min(3, m - 1))
+            for _ in range(m - e[m - 1]):
+                e[rng.choice(support)] += 1
+            exps.append(tuple(e))
+        terms = {}
+        for e in exps:
+            terms[e] = terms.get(e, 0) + rng.choice([-5, -2, -1, 1, 3, 7])
+        a = StructureMatrix(rows)
+        expected = 0
+        for e, c in terms.items():
+            value = _reference_operator(rows, {e: c})
+            assert triangular_operator(a, {e: c}) == value, e
+            expected += value
+        assert triangular_operator(a, terms) == expected
 
 
 def test_characteristic_identity_cases(g42):
@@ -275,3 +352,16 @@ def test_chevalley_formula(series, rank):
                     expected[(target.m, target.i)] = coroot[k - 1]
             got = multiply_schubert(table, table.lookup_word((k,)), w).as_dict()
             assert got == expected, (w.word, k)
+
+
+def test_clear_caches():
+    table = enumerate_cosets(builtin_cartan("A", 8), {4})
+    top = table.entry(20, 1)
+    c4 = table.lookup_word([1, 2, 3, 4])
+    h = table.lookup_word([4])
+    classes = [c4, c4, h, h, table.entry(5, 1), table.entry(5, 2)]
+    before = characteristic(table, top, classes)
+    assert table._char_cache and table._rows and table._vectors
+    table.clear_caches()
+    assert table._char_cache == {} and table._rows == {} and table._vectors == {}
+    assert characteristic(table, top, classes) == before

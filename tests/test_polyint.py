@@ -8,10 +8,11 @@ def test_poly_mul_basic():
 
 
 def test_linear_power_cache():
+    # packed exponents, width 2: x_1 -> 1, x_2 -> 1 << 2, x_1 x_2 -> 1 + 4
     cache = LinearPowerCache()
     coefs = (2, -1, 0)
-    assert cache.power(coefs, 0) == {(0, 0, 0): 1}
-    assert cache.power(coefs, 1) == {(1, 0, 0): 2, (0, 1, 0): -1}
-    square = cache.power(coefs, 2)
-    assert square == {(2, 0, 0): 4, (1, 1, 0): -4, (0, 2, 0): 1}
-    assert cache.power(coefs, 2) is square  # served from cache
+    assert cache.power(coefs, 0, 2) == {0: 1}
+    assert cache.power(coefs, 1, 2) == {1: 2, 4: -1}
+    square = cache.power(coefs, 2, 2)
+    assert square == {2: 4, 5: -4, 8: 1}
+    assert cache.power(coefs, 2, 2) is square  # served from cache
