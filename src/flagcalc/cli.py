@@ -6,6 +6,9 @@ presentations and Schubert polynomials), oracle (type-A cross-validation),
 and batch (one query per stdin line, one result line each).
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 resource limit.
+
+Each command imports the library modules it calls, so a process loads only
+what its command needs.
 """
 
 from __future__ import annotations
@@ -16,21 +19,17 @@ import json
 import re
 import shlex
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .cartan import CartanMatrix, from_json, parse_group_label
-from .characteristics import characteristic, multiply_schubert
 from .errors import FlagcalcError, ResourceLimit
-from .oracle import coset_to_partition, lr_coefficient, partition_to_entry
-from .presentation import (
-    GeneratorSet,
-    find_generators,
-    find_relations,
-    schubert_polynomials,
-)
-from .weyl import CosetEntry, CosetTable, enumerate_cosets, top_element
+
+if TYPE_CHECKING:
+    from .cartan import CartanMatrix
+    from .presentation import GeneratorSet
+    from .weyl import CosetEntry, CosetTable
 
 
 def _fail(exc: FlagcalcError) -> None:
@@ -55,6 +54,7 @@ def group_options(f):
 def _resolve_cartan(group_label, cartan_file) -> CartanMatrix:
     if (group_label is None) == (cartan_file is None):
         raise click.UsageError("provide exactly one of --group or --cartan-file")
+    from .cartan import from_json, parse_group_label
     if group_label is not None:
         return parse_group_label(group_label)
     with open(cartan_file) as fh:
@@ -71,21 +71,49 @@ def _resolve_k(k_spec: str, rank: int) -> frozenset[int]:
 
 
 def _load_table(group_label, cartan_file, k_spec, max_len, limit) -> CosetTable:
+    from .weyl import enumerate_cosets
     cartan = _resolve_cartan(group_label, cartan_file)
     k_set = _resolve_k(k_spec, cartan.rank)
     kwargs = {} if limit is None else {"limit": limit}
     return enumerate_cosets(cartan, k_set, max_len, **kwargs)
 
 
-def _table_json(table: CosetTable) -> dict:
-    return {
-        "schema": "coset-table/1",
-        "group": table.cartan.label or table.cartan.to_json(),
-        "cartan": table.cartan.to_json(),
-        "K": sorted(table.k_set),
-        "max_length": table.max_length,
-        "entries": [{"m": e.m, "i": e.i, "word": list(e.word)} for e in table.entries()],
-    }
+def _echo_table(table: CosetTable, fmt: str) -> None:
+    """Write a coset table one layer at a time.
+
+    json is the ``coset-table/1`` document exactly as ``json.dumps`` prints
+    it, and csv exactly what ``csv.writer`` writes, built without holding a
+    dict per entry.
+    """
+    if fmt == "json":
+        head = json.dumps({
+            "schema": "coset-table/1",
+            "group": table.cartan.label or table.cartan.to_json(),
+            "cartan": table.cartan.to_json(),
+            "K": sorted(table.k_set),
+            "max_length": table.max_length,
+        })
+        click.echo(head[:-1] + ', "entries": [', nl=False)
+        sep = ""
+        for layer in table.layers:
+            click.echo(sep + ", ".join(
+                f'{{"m": {e.m}, "i": {e.i}, "word": [{", ".join(map(str, e.word))}]}}'
+                for e in layer), nl=False)
+            sep = ", "
+        click.echo("]}")
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = _csv.writer(buf)
+        writer.writerow(["m", "i", "word"])
+        for layer in table.layers:
+            writer.writerows((e.m, e.i, " ".join(map(str, e.word))) for e in layer)
+            click.echo(buf.getvalue(), nl=False)
+            buf.seek(0)
+            buf.truncate()
+    else:
+        for layer in table.layers[1:]:
+            click.echo("\n".join(f"w_{{{e.m},{e.i}}} = [{', '.join(map(str, e.word))}]"
+                                  for e in layer))
 
 
 _TOKEN_RE = re.compile(
@@ -129,7 +157,10 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
             raise click.UsageError(f"c{r} outside 1..{k}")
         return table.lookup_word(tuple(range(k - r + 1, k + 1)))
     if token.startswith("y"):
+        from .presentation import find_generators
         d = int(token[1:])
+        if d < 1:
+            raise click.UsageError(f"y{d}: generators are numbered from 1")
         bound = table.top_length if table.complete else table.max_length
         for md in range(1, bound + 1):
             gens = find_generators(table, md)
@@ -140,6 +171,7 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
         word = [int(x) for x in token[1:-1].replace(" ", "").split(",") if x]
         return table.lookup_word(word)
     if token.startswith("part:"):
+        from .oracle import partition_to_entry
         parts = [int(x) for x in token[5:].split(",") if x]
         return partition_to_entry(table, parts)
     m, i = (int(x) for x in token[1:-1].split(","))
@@ -149,6 +181,7 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
 def _resolve_target(table: CosetTable, spec: str) -> CosetEntry:
     spec = spec.strip()
     if spec == "top":
+        from .weyl import top_element
         word, length = top_element(table)
         return table.entry(length, 1)
     return _resolve_class(table, spec)
@@ -167,21 +200,7 @@ def main() -> None:
 def decompose(group_label, cartan_file, k_spec, max_len, limit, fmt):
     """Enumerate minimal coset representatives with minimized words."""
     try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-        if fmt == "json":
-            click.echo(json.dumps(_table_json(table)))
-        elif fmt == "csv":
-            buf = io.StringIO()
-            writer = _csv.writer(buf)
-            writer.writerow(["m", "i", "word"])
-            for e in table.entries():
-                writer.writerow([e.m, e.i, " ".join(map(str, e.word))])
-            click.echo(buf.getvalue().rstrip("\n"))
-        else:
-            for e in table.entries():
-                if e.m == 0:
-                    continue
-                click.echo(f"w_{{{e.m},{e.i}}} = [{', '.join(map(str, e.word))}]")
+        _echo_table(_load_table(group_label, cartan_file, k_spec, max_len, limit), fmt)
     except FlagcalcError as exc:
         _fail(exc)
 
@@ -197,6 +216,7 @@ def decompose(group_label, cartan_file, k_spec, max_len, limit, fmt):
 def char(group_label, cartan_file, k_spec, max_len, limit,
          w_spec, classes_spec, fmt):
     """Characteristic number of a Schubert-class monomial against a class."""
+    from .characteristics import characteristic
     try:
         table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         w = _resolve_target(table, w_spec)
@@ -227,6 +247,7 @@ def char(group_label, cartan_file, k_spec, max_len, limit,
 def multiply(group_label, cartan_file, k_spec, max_len, limit,
              u_spec, v_spec, fmt):
     """Expand the product of two Schubert classes in the Schubert basis."""
+    from .characteristics import multiply_schubert
     try:
         table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         u = _resolve_class(table, u_spec)
@@ -303,6 +324,7 @@ def _presentation_json(gens: GeneratorSet, relations, bound: int) -> dict:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def present(group_label, cartan_file, k_spec, max_len, limit, max_deg, fmt):
     """Generators and relations of the intersection ring, degree-bounded."""
+    from .presentation import find_generators, find_relations
     try:
         table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         bound = max_deg if max_deg is not None else table.top_length
@@ -330,6 +352,7 @@ def present(group_label, cartan_file, k_spec, max_len, limit, max_deg, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def schubpoly(group_label, cartan_file, k_spec, max_len, limit, deg, fmt):
     """Schubert polynomials of every class in one degree."""
+    from .presentation import find_generators, schubert_polynomials
     try:
         table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         gens = find_generators(table, deg)
@@ -367,8 +390,13 @@ def oracle() -> None:
 @click.option("--nu", required=True, metavar="PARTS")
 def lr(lam, mu, nu):
     """Littlewood-Richardson coefficient by brute tableau enumeration."""
+    from .oracle import lr_coefficient
+
     def parse(s):
-        return tuple(int(x) for x in s.split(",") if x)
+        try:
+            return tuple(int(x) for x in s.split(",") if x)
+        except ValueError:
+            raise click.UsageError(f"cannot parse partition {s!r}")
     try:
         click.echo(str(lr_coefficient(parse(lam), parse(mu), parse(nu))))
     except FlagcalcError as exc:
@@ -379,6 +407,8 @@ def lr(lam, mu, nu):
 @group_options
 def crosscheck(group_label, cartan_file, k_spec, max_len, limit):
     """Compare every pairwise product against the Littlewood-Richardson rule."""
+    from .characteristics import multiply_schubert
+    from .oracle import coset_to_partition, lr_coefficient
     try:
         table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
         entries = list(table.entries())

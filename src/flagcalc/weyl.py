@@ -1,13 +1,21 @@
 """Numerical Weyl groups and minimal coset representative tables.
 
-The group is realized by integer matrices acting on the fundamental-weight
-basis w_1..w_n: the simple reflection s_i fixes every w_k with k != i and
-sends w_i to w_i minus row i of the Cartan matrix read in the weight basis.
-Left cosets of a parabolic subgroup W(P_K) are enumerated as the orbit of the
-vector v_K = sum of w_j over j in K, whose stabilizer is exactly W(P_K); the
-breadth-first depth of an orbit point equals the length of the minimal coset
-representative, and tracking the lexicographically least word per new point
-yields the minimized reduced words.
+Simple reflections are integer matrices on the fundamental-weight basis
+w_1..w_n: s_i fixes every w_k with k != i and sends w_i to w_i minus row i of
+the Cartan matrix read in the weight basis.  Coset enumeration does not use
+the matrices: the group acts on weight vectors, one coordinate update per
+nonzero Cartan entry.  Left cosets of a parabolic subgroup W(P_K) are the
+orbit of v_K = sum of w_j over j in K, whose stabilizer is exactly W(P_K).
+
+The enumeration uses the descent criterion (Casselman, "Machine calculations
+in Weyl groups", Invent. Math. 116 (1994); Bjorner-Brenti, GTM 231, 3.4): an
+orbit point v has length l(s_g v) = l(v) + 1 exactly when v[g] > 0, and its
+descents are its negative coordinates.  So each point of a layer is expanded
+only along its ascents, and a child is kept only from the arrival whose
+letter g is the child's first negative coordinate.  That letter is the first
+letter of the child's lexicographically least reduced word, so the child's
+word is (g,) + parent word, every coset is reached once, and a layer built
+in (g, parent index) order is already sorted by word.
 
 All arithmetic is exact (Python integers); matrices are tuples of row tuples.
 """
@@ -95,7 +103,7 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CosetEntry:
     """One minimal coset representative: index (m, i) and minimized word."""
 
@@ -114,7 +122,7 @@ class CosetTable:
 
     def __init__(self, cartan: CartanMatrix, k_set: frozenset[int],
                  layers: list[list[CosetEntry]], max_length: int | None,
-                 vector_index: dict[tuple[int, ...], tuple[int, int]]):
+                 vector_index: dict[tuple[int, ...], CosetEntry]):
         self.cartan = cartan
         self.k_set = k_set
         self.layers = layers
@@ -174,10 +182,10 @@ class CosetTable:
             if not 1 <= g <= self.cartan.rank:
                 raise IndexOutOfRange(f"letter {g} outside 1..{self.cartan.rank}")
             v = _apply_gen_vec(self.cartan, g, v)
-        loc = self._by_vector.get(v)
-        if loc is None:
+        entry = self._by_vector.get(v)
+        if entry is None:
             raise NotFound(f"word {tuple(word)} reaches a coset outside the table")
-        return self.entry(*loc)
+        return entry
 
     def require_complete(self, what: str = "operation") -> None:
         if not self.complete:
@@ -187,11 +195,12 @@ class CosetTable:
 
 def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
                      limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
-    """Breadth-first enumeration of W(P_K; G) with minimized words.
+    """Layer-by-layer enumeration of W(P_K; G) with minimized words.
 
-    Each new orbit point at depth m records the lexicographic minimum of
-    (letter,) + parent_word over every arrival; layers are then sorted by
-    word, which is exactly the canonical index order.
+    Layer m + 1 is built letter by letter: for each g, every point of layer
+    m with an ascent at g (``vec[g-1] > 0``) gives the child s_g vec, which
+    is kept only when g is its first descent (first negative coordinate).
+    Its word is (g,) + parent word, and the layer comes out in word order.
     """
     n = cartan.rank
     k_set = frozenset(int(j) for j in k_set)
@@ -204,38 +213,40 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
         raise OutOfRange(f"max_length must be nonnegative, got {max_length}")
 
     v0 = tuple(1 if j + 1 in k_set else 0 for j in range(n))
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
-    layers: list[list[CosetEntry]] = []
-    frontier: dict[tuple[int, ...], tuple[int, ...]] = {v0: ()}
-    total = 0
-    depth = 0
+    root = CosetEntry(0, 1, ())
+    by_vector: dict[tuple[int, ...], CosetEntry] = {v0: root}
+    layers: list[list[CosetEntry]] = [[root]]
+    frontier: list[tuple[tuple[int, ...], CosetEntry]] = [(v0, root)]
+    total = 1
+    truncated = None
     while frontier:
-        ordered = sorted(frontier.items(), key=lambda kv: kv[1])
-        layer = []
-        for idx, (vec, word) in enumerate(ordered, start=1):
-            layer.append(CosetEntry(depth, idx, word))
-            seen[vec] = (depth, idx)
-        layers.append(layer)
-        total += len(layer)
         if total > limit:
             raise ResourceLimit(f"coset count exceeded limit={limit}")
-        if max_length is not None and depth >= max_length:
+        depth = len(layers)
+        if max_length is not None and depth > max_length:
+            truncated = max_length
             break
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for vec, word in frontier.items():
-            for g in range(1, n + 1):
-                child = _apply_gen_vec(cartan, g, vec)
-                if child in seen or child == vec:
+        nxt: list[tuple[tuple[int, ...], CosetEntry]] = []
+        for g, row in enumerate(cartan.nonzero_rows, start=1):
+            p = g - 1
+            for vec, parent in frontier:
+                vg = vec[p]
+                if vg <= 0:
                     continue
-                cand_word = (g,) + word
-                known = nxt.get(child)
-                if known is None or cand_word < known:
-                    nxt[child] = cand_word
+                child = list(vec)
+                for r, c in row:
+                    child[r] -= c * vg
+                # a descent before g means g is not the child's first letter
+                if p and min(child[:p]) < 0:
+                    continue
+                nxt.append((tuple(child),
+                            CosetEntry(depth, len(nxt) + 1, (g,) + parent.word)))
+        if nxt:
+            layers.append([entry for _, entry in nxt])
+            by_vector.update(nxt)
+            total += len(nxt)
         frontier = nxt
-        depth += 1
-    # if the bound was never reached the table is complete despite the cap
-    truncated = max_length if (max_length is not None and frontier) else None
-    return CosetTable(cartan, k_set, layers, truncated, seen)
+    return CosetTable(cartan, k_set, layers, truncated, by_vector)
 
 
 def top_element(table: CosetTable) -> tuple[tuple[int, ...], int]:

@@ -1,11 +1,22 @@
+import csv
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import flagcalc
+from flagcalc import builtin_cartan, enumerate_cosets
+from flagcalc.cartan import from_json
 from flagcalc.cli import main
 
 from conftest import load_data
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -263,3 +274,97 @@ def test_help_lists_documented_flags(runner):
         result = runner.invoke(main, [cmd, "--help"])
         for flag in flags:
             assert flag in result.output, (cmd, flag)
+
+
+@pytest.mark.parametrize("label,k_set,max_len", [
+    ("A3", {2}, None), ("F4", {1, 2, 3, 4}, None), ("D4", {1, 2, 3, 4}, 5), ("G2-file", {1}, None),
+])
+def test_decompose_streams_full_documents(runner, tmp_path, label, k_set, max_len):
+    # the streamed json and csv are byte for byte json.dumps of the whole
+    # coset-table/1 document and csv.writer over every entry
+    if label == "G2-file":
+        doc = {"rank": 2, "entries": [[2, -1], [-3, 2]]}
+        path = tmp_path / "g2.json"
+        path.write_text(json.dumps(doc))
+        cm, source = from_json(doc), ["--cartan-file", str(path)]
+    else:
+        cm, source = builtin_cartan(label[0], int(label[1:])), ["--group", label]
+    table = enumerate_cosets(cm, k_set, max_len)
+    args = ["decompose", *source, "--k", ",".join(map(str, sorted(k_set)))]
+    if max_len is not None:
+        args += ["--max-len", str(max_len)]
+    expected_json = json.dumps({
+        "schema": "coset-table/1",
+        "group": cm.label or cm.to_json(),
+        "cartan": cm.to_json(),
+        "K": sorted(k_set),
+        "max_length": table.max_length,
+        "entries": [{"m": e.m, "i": e.i, "word": list(e.word)} for e in table.entries()],
+    }) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["m", "i", "word"])
+    for e in table.entries():
+        writer.writerow([e.m, e.i, " ".join(map(str, e.word))])
+    for fmt, expected in (("json", expected_json), ("csv", buf.getvalue())):
+        result = runner.invoke(main, [*args, "--format", fmt])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == expected.encode(), fmt
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--group", "D4", "--k", "all", "--format", "json"],
+    ["char", "--group", "A8", "--k", "4", "--w", "top", "--classes", "c4^5"],
+])
+def test_cold_commands_load_only_their_modules(args):
+    code = (
+        "import sys\n"
+        "from flagcalc.cli import main\n"
+        "try:\n"
+        "    main(args=sys.argv[1:], prog_name='flagcalc')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('flagcalc'))),"
+        " file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "flagcalc.weyl" in loaded
+    assert not loaded & {"flagcalc.presentation", "flagcalc.intlinalg", "flagcalc.oracle"}
+
+
+def test_package_exports_unchanged():
+    assert sorted(flagcalc.__all__) == [
+        "CartanMatrix", "CosetEntry", "CosetTable", "DegreeMismatch", "EmptyK",
+        "FlagcalcError", "GeneratorSet", "GradedIntPolynomial", "IndexOutOfRange",
+        "InvalidSeriesRank", "NonSurjective", "NotCartan", "NotFound", "NotSingletonK",
+        "NotTypeA", "OutOfRange", "Presentation", "ResourceLimit", "SchubertExpansion",
+        "SchubertPolynomial", "StructureMatrix", "TruncatedTable",
+        "borel_inverse_components", "builtin_cartan", "cartan", "characteristic",
+        "characteristics", "coset_to_partition", "element_of_word", "enumerate_cosets",
+        "errors", "expansion_matrix", "find_generators", "find_relations",
+        "generator_set_from_words", "integer_diagonalize", "intlinalg", "lr_coefficient",
+        "multiply_schubert", "oracle", "parse_group_label", "partition_to_entry", "pieri",
+        "polyint", "presentation", "schubert_polynomials", "simple_reflection",
+        "smith_normal_form", "structure_matrix", "top_element", "triangular_operator",
+        "validate", "weyl",
+    ]
+    for name in flagcalc.__all__:
+        assert getattr(flagcalc, name) is not None, name
+
+
+def test_generator_zero_is_usage_error(runner):
+    # y0 used to wrap around to the last degree-1 generator
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "all",
+                                  "--classes", "y0 y1 y2 y2 y3 y3"])
+    assert result.exit_code == 2
+    assert "y0" in result.output
+
+
+def test_oracle_lr_bad_partition_is_usage_error(runner):
+    result = runner.invoke(main, ["oracle", "lr", "--lam", "2,x", "--mu", "1", "--nu", "3"])
+    assert result.exit_code == 2
+    assert "2,x" in result.output

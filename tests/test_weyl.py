@@ -1,9 +1,12 @@
+import random
+import re
+
 import pytest
 
 from flagcalc import builtin_cartan, element_of_word, enumerate_cosets, simple_reflection, top_element
 from flagcalc.errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
                              TruncatedTable)
-from flagcalc.weyl import identity_matrix, mat_mul, mat_vec
+from flagcalc.weyl import _apply_gen_vec, identity_matrix, mat_mul, mat_vec
 
 from conftest import load_data
 from test_intlinalg import int_det
@@ -192,3 +195,117 @@ def test_unreached_bound_is_complete():
     table = enumerate_cosets(a3, {1}, max_length=10)
     assert table.complete
     assert table.top_length == 3
+
+
+# ---------------------------------------------------------------------------
+# The ascent-only enumeration against a plain breadth-first search.
+# ---------------------------------------------------------------------------
+
+
+def _reference_cosets(cm, k_set, max_length=None, limit=10_000_000):
+    """Breadth-first orbit of v_K keeping the least word over all arrivals.
+
+    Returns the layers as (m, i, word) lists, the map vector -> (m, i) and
+    the truncation bound, with the ``enumerate_cosets`` refusal rules.
+    """
+    n = cm.rank
+    v0 = tuple(1 if j + 1 in k_set else 0 for j in range(n))
+    seen, layers = {}, []
+    frontier = {v0: ()}
+    total = depth = 0
+    while frontier:
+        ordered = sorted(frontier.items(), key=lambda kv: kv[1])
+        layers.append([(depth, idx, word) for idx, (_, word) in enumerate(ordered, 1)])
+        for idx, (vec, _) in enumerate(ordered, 1):
+            seen[vec] = (depth, idx)
+        total += len(ordered)
+        if total > limit:
+            raise ResourceLimit(f"coset count exceeded limit={limit}")
+        if max_length is not None and depth >= max_length:
+            break
+        nxt = {}
+        for vec, word in frontier.items():
+            for g in range(1, n + 1):
+                child = _apply_gen_vec(cm, g, vec)
+                if child in seen or child == vec:
+                    continue
+                cand = (g,) + word
+                if child not in nxt or cand < nxt[child]:
+                    nxt[child] = cand
+        frontier = nxt
+        depth += 1
+    truncated = max_length if (max_length is not None and frontier) else None
+    return layers, seen, truncated
+
+
+def _assert_same_table(cm, k_set, max_length=None, words=200):
+    table = enumerate_cosets(cm, k_set, max_length)
+    layers, seen, truncated = _reference_cosets(cm, k_set, max_length)
+    assert [[(e.m, e.i, e.word) for e in layer] for layer in table.layers] == layers
+    assert table.max_length == truncated
+    rng = random.Random(f"{cm.label}{sorted(k_set)}{max_length}")
+    samples = [w for layer in layers for _, _, w in layer]
+    samples += [tuple(rng.randint(1, cm.rank) for _ in range(rng.randint(0, 12)))
+                for _ in range(words)]
+    v0 = tuple(1 if j + 1 in k_set else 0 for j in range(cm.rank))
+    for word in samples:
+        v = v0
+        for g in reversed(word):
+            v = _apply_gen_vec(cm, g, v)
+        if v in seen:
+            entry = table.lookup_word(word)
+            assert (entry.m, entry.i) == seen[v]
+            assert entry is table.entry(*seen[v])
+        else:
+            with pytest.raises(NotFound):
+                table.lookup_word(word)
+
+
+def _small_series():
+    for series, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(low, 6):
+            yield series, rank
+
+
+@pytest.mark.parametrize("series,rank", list(_small_series()))
+def test_enumeration_matches_reference_small_series(series, rank):
+    cm = builtin_cartan(series, rank)
+    nodes = range(1, rank + 1)
+    for k_set in [set(nodes), {1, rank}, *({j} for j in nodes)]:
+        _assert_same_table(cm, k_set)
+
+
+@pytest.mark.parametrize("series,rank,k_set", [
+    ("F", 4, {1, 2, 3, 4}), ("G", 2, {1, 2}), ("E", 6, {2}),
+    ("D", 6, {1, 2, 3, 4, 5, 6}),
+])
+def test_enumeration_matches_reference_larger(series, rank, k_set):
+    _assert_same_table(builtin_cartan(series, rank), k_set, words=50)
+
+
+@pytest.mark.parametrize("series,rank,k_set", [
+    ("A", 8, {4}), ("F", 4, {1, 2, 3, 4}), ("E", 6, {2}), ("B", 3, {1}),
+])
+def test_truncated_enumeration_matches_reference(series, rank, k_set):
+    cm = builtin_cartan(series, rank)
+    top = enumerate_cosets(cm, k_set).top_length
+    for max_length in (0, 1, 3, top - 1, top, top + 1):
+        _assert_same_table(cm, k_set, max_length, words=50)
+
+
+def test_limit_refusals_match_reference():
+    # every limit up to the full count, with and without a length bound
+    for series, rank, k_set in [("A", 3, {1, 2, 3}), ("B", 3, {2}), ("G", 2, {1, 2})]:
+        cm = builtin_cartan(series, rank)
+        size = enumerate_cosets(cm, k_set).size
+        for max_length in (None, 2):
+            for limit in range(size + 2):
+                try:
+                    expected = _reference_cosets(cm, k_set, max_length, limit)[0]
+                except ResourceLimit as exc:
+                    with pytest.raises(ResourceLimit, match=re.escape(str(exc))):
+                        enumerate_cosets(cm, k_set, max_length, limit=limit)
+                    continue
+                table = enumerate_cosets(cm, k_set, max_length, limit=limit)
+                assert [[(e.m, e.i, e.word) for e in layer]
+                        for layer in table.layers] == expected
