@@ -21,14 +21,15 @@ per unordered pair {u, v}.  A monomial of any length is then folded one
 factor at a time in the Schubert basis, and ``characteristic``,
 ``multiply_schubert`` and the presentation's expansion matrices all read from
 the same rows.  Both routes run one elimination routine, ``_eliminate``, on
-exponent vectors packed into Python ints (see ``polyint``); the columns of
-A_w and every class's masks in packed form are memoized per target word.
+exponent vectors packed into Python ints (see ``polyint``).  Per target word
+the table memoizes the nonzero entries of A_w's columns and every class's
+masks, as bitmasks and in packed form; a word's bitmasks are built from its
+parent word's in the coset tree (``class_factor_masks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, neg
 
 from .cartan import CartanMatrix
 from .errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
@@ -134,7 +135,8 @@ def triangular_operator(a: StructureMatrix, h) -> int:
                 terms[e] = terms.get(e, 0) + c
     width = m.bit_length()
     cur = {sum(x << s * width for s, x in enumerate(e)): c for e, c in terms.items()}
-    return _eliminate(cur, m, [a.column(v + 1) for v in range(m)])
+    columns = [tuple((s, x) for s, x in enumerate(a.column(v + 1)) if x) for v in range(m)]
+    return _eliminate(cur, m, columns)
 
 
 def _eliminate(cur: dict, m: int, columns) -> int:
@@ -142,7 +144,8 @@ def _eliminate(cur: dict, m: int, columns) -> int:
 
     A key holds the exponent of x_{s+1} in bits [s*W, (s+1)*W) with
     W = m.bit_length(); no exponent exceeds m, so no field carries into the
-    next.  ``columns[v]`` is a_{1..v, v+1}, the form that replaces x_{v+1}.
+    next.  ``columns[v]`` holds the nonzero (s, a_{s+1,v+1}) with s < v, the
+    form that replaces x_{v+1}.
     """
     width = m.bit_length()
     for v in range(m - 1, 0, -1):
@@ -195,46 +198,76 @@ class SchubertExpansion:
 def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple[int, ...]:
     """Position subsets of w's word whose subword equals u in the Weyl group.
 
-    Returned as ascending bitmasks over the m positions.  The search walks
-    w's word from right to left, prepending letters to a partial product x
-    that must stay a reduced right factor of u, i.e. l(u x^-1) = l(u) - l(x).
-    It carries the single weight-coordinate vector z = x u^-1 rho.  By the
-    length criterion l(v s_g) < l(v) iff v(a_g) < 0 (Humphreys, Reflection
-    Groups and Coxeter Groups, 1.6-1.7), applied to v = u x^-1, the letter g
-    may be prepended iff z_g = <v^-1 rho, a_g^vee> < 0, and z then becomes
-    s_g z.  A branch that picks l(u) positions has v = 1, so it spells a
-    reduced word of u and needs no final comparison.
+    Returned as ascending bitmasks over the m positions (bit q for letter
+    w.word[q]).  They follow from the coset tree.  The invariant relied on is
+    that w.word[1:] is the word of w's parent, the table entry of s_g w for
+    g = w.word[0], which ``enumerate_cosets`` guarantees.  A subset either
+    skips position 0, and is then a subset of the parent's word spelling u,
+    or uses it, and the rest spells s_g u.  The latter happens exactly when g
+    is a left descent of u, i.e. vec(u)[g-1] < 0, and then s_g u is again a
+    table entry.  So
+
+        masks(w, u) = {x << 1 : x in masks(parent, u)}
+                      + {x << 1 | 1 : x in masks(parent, s_g u)}  (g descent of u)
+
+    with masks(w, 1) = {0}, masks(w, u) empty when l(w) < l(u), and, when
+    l(w) = l(u), the full set if w is u and nothing otherwise.  This is the
+    deletion/contraction of subword complexes (Knutson-Miller, "Subword
+    complexes in Coxeter groups", Adv. Math. 184 (2004)); the subsets are the
+    L(u, w) of Duan's product formula (Duan, "Multiplicative rule of Schubert
+    classes", Invent. Math. 159 (2005)).  The parent chain is walked in a loop
+    and every ancestor's masks are memoized; Python recursion only follows
+    u -> s_g u, so its depth is at most l(u).
     """
-    word_cache = table._char_cache.get(w.word)
-    if word_cache is None:
-        word_cache = table._char_cache[w.word] = {"masks": {}, "spreads": {}, "columns": None}
-    cache = word_cache["masks"]
+    cache = _word_memo(table, w.word)["masks"]
     key = (u.m, u.i)
     got = cache.get(key)
     if got is not None:
         return got
-    cartan = table.cartan
-    word = w.word
     t = u.m
-    z0 = (1,) * cartan.rank
-    for g in u.word:
-        z0 = _apply_gen_vec(cartan, g, z0)
-    out: list[int] = []
+    if t == 0:
+        got = cache[key] = (0,)
+        return got
+    if w.m <= t:
+        got = cache[key] = ((1 << t) - 1,) if (w.m, w.i) == key else ()
+        return got
+    cartan = table.cartan
+    by_vector = table._by_vector
+    # walk down to the first ancestor whose masks are known or of length l(u)
+    chain = [(w, cache)]
+    node, vec = w, table.vector(w)
+    while True:
+        vec = _apply_gen_vec(cartan, node.word[0], vec)
+        node = by_vector[vec]
+        if node.m == t:
+            got = ((1 << t) - 1,) if (node.m, node.i) == key else ()
+            break
+        node_cache = _word_memo(table, node.word)["masks"]
+        got = node_cache.get(key)
+        if got is not None:
+            break
+        chain.append((node, node_cache))
+    # and back up, each word's masks from its parent's
+    parent = node
+    uvec = table.vector(u)
+    for node, node_cache in reversed(chain):
+        g = node.word[0]
+        out = [x << 1 for x in got]
+        if uvec[g - 1] < 0:
+            su = by_vector[_apply_gen_vec(cartan, g, uvec)]
+            out += [x << 1 | 1 for x in class_factor_masks(table, parent, su)]
+            out.sort()
+        got = node_cache[key] = tuple(out)
+        parent = node
+    return got
 
-    def rec(end: int, depth: int, z, mask: int) -> None:
-        if depth == t:
-            out.append(mask)
-            return
-        # positions 0..q-1 must leave room for the t - depth - 1 letters still to pick
-        for q in range(end - 1, t - depth - 2, -1):
-            g = word[q]
-            if z[g - 1] < 0:
-                rec(q, depth + 1, _apply_gen_vec(cartan, g, z), mask | (1 << q))
 
-    rec(len(word), 0, z0, 0)
-    masks = tuple(sorted(out))
-    cache[key] = masks
-    return masks
+def _word_memo(table: CosetTable, word: tuple[int, ...]) -> dict:
+    """The table's memo for one target word, created on first use."""
+    memo = table._char_cache.get(word)
+    if memo is None:
+        memo = table._char_cache[word] = {"masks": {}, "spreads": {}, "columns": None}
+    return memo
 
 
 def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntry) -> int:
@@ -252,12 +285,25 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
             poly[e] = poly.get(e, 0) + 1
     columns = memo["columns"]
     if columns is None:
-        # columns[t][s] = a_{s+1,t+1} = -c[i_{s+1}][i_{t+1}]: entry i_{t+1} of the
-        # Cartan rows of the letters before position t+1, negated
-        rows = [table.cartan.entries[g - 1] for g in w.word]
-        columns = memo["columns"] = [tuple(map(neg, map(itemgetter(g - 1), rows[:t])))
-                                     for t, g in enumerate(w.word)]
+        columns = memo["columns"] = _sparse_columns(table.cartan, w.word)
     return _eliminate(poly, w.m, columns)
+
+
+def _sparse_columns(cartan: CartanMatrix, word: tuple[int, ...]) -> list:
+    """columns[t] = ((s, a_{s+1,t+1}), ...) over the nonzero entries, s ascending.
+
+    a_{s+1,t+1} = -c[i_{s+1}][i_{t+1}], so position s adds an entry only to
+    the later columns whose letter is a nonzero column of row i_{s+1}; the
+    columns are filled forward from ``nonzero_rows``, one pair per entry.
+    """
+    nonzero = cartan.nonzero_rows
+    pending: list[list[tuple[int, int]]] = [[] for _ in range(cartan.rank)]
+    columns = []
+    for t, g in enumerate(word):
+        columns.append(tuple(pending[g - 1]))
+        for h, c in nonzero[g - 1]:
+            pending[h].append((t, -c))
+    return columns
 
 
 def _spreads(memo: dict, u: CosetEntry, masks: tuple[int, ...], m: int) -> tuple[int, ...]:

@@ -28,28 +28,29 @@ def poly_mul(a: dict, b: dict) -> dict:
 
 
 class LinearPowerCache:
-    """Powers of linear forms sum_s coefs[s] * x_{s+1}, in packed exponents.
+    """Powers of linear forms sum c * x_{s+1}, in packed exponents.
 
-    Keys are (coefs, r, width); power r is derived from power r-1, so a
-    whole ladder of powers costs one pass.  A soft cap on the stored terms
-    keeps long-running sessions bounded.
+    A form is given sparsely, as the pairs ((s, c), ...) of its nonzero
+    coefficients.  Keys are (pairs, r, width); power r is derived from power
+    r-1, so a whole ladder of powers costs one pass.  A soft cap on the
+    stored terms keeps long-running sessions bounded.
     """
 
     def __init__(self, max_entries: int = 200_000):
-        self._store: dict[tuple[tuple[int, ...], int, int], dict] = {}
+        self._store: dict[tuple[tuple[tuple[int, int], ...], int, int], dict] = {}
         self._max_entries = max_entries
         self._size = 0
 
-    def power(self, coefs: tuple[int, ...], r: int, width: int) -> dict:
+    def power(self, pairs: tuple[tuple[int, int], ...], r: int, width: int) -> dict:
         if r == 0:
             return {0: 1}
-        key = (coefs, r, width)
+        key = (pairs, r, width)
         got = self._store.get(key)
         if got is not None:
             return got
-        lin = [(1 << s * width, c) for s, c in enumerate(coefs) if c]
+        lin = [(1 << s * width, c) for s, c in pairs]
         cur: dict = {}
-        for ea, ca in self.power(coefs, r - 1, width).items():
+        for ea, ca in self.power(pairs, r - 1, width).items():
             for eb, cb in lin:
                 e = ea + eb
                 v = cur.get(e, 0) + ca * cb

@@ -128,9 +128,12 @@ class CosetTable:
         self.layers = layers
         self.max_length = max_length
         self._by_vector = vector_index
-        # memos of characteristics.py: per target word its factor masks, packed
-        # masks and columns; two-factor rows per unordered pair of classes;
-        # vectors per sorted monomial
+        # entry -> vector, built by vector() on first use; its size is the
+        # table's, not the queries', so clear_caches() keeps it
+        self._layer_vectors: list[list[tuple[int, ...]]] | None = None
+        # memos of characteristics.py: per target word (and per ancestor of
+        # one) its factor masks, packed masks and columns; two-factor rows per
+        # unordered pair of classes; vectors per sorted monomial
         self._char_cache: dict = {}
         self._rows: dict = {}
         self._vectors: dict = {}
@@ -170,6 +173,20 @@ class CosetTable:
         if not 1 <= i <= len(layer):
             raise NotFound(f"no entry w_{{{m},{i}}}")
         return layer[i - 1]
+
+    def vector(self, entry: CosetEntry) -> tuple[int, ...]:
+        """The orbit point (weight vector) of an entry's coset.
+
+        The inverse of ``_by_vector`` is built on first use, one pass per
+        table, so enumeration alone never pays for it.
+        """
+        vectors = self._layer_vectors
+        if vectors is None:
+            vectors = [[()] * len(layer) for layer in self.layers]
+            for v, e in self._by_vector.items():
+                vectors[e.m][e.i - 1] = v
+            self._layer_vectors = vectors
+        return vectors[entry.m][entry.i - 1]
 
     def entries(self):
         for layer in self.layers:
@@ -211,6 +228,8 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
             raise IndexOutOfRange(f"K contains {j}, outside 1..{n}")
     if max_length is not None and max_length < 0:
         raise OutOfRange(f"max_length must be nonnegative, got {max_length}")
+    if limit < 0:
+        raise OutOfRange(f"limit must be nonnegative, got {limit}")
 
     v0 = tuple(1 if j + 1 in k_set else 0 for j in range(n))
     root = CosetEntry(0, 1, ())

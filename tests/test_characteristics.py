@@ -1,4 +1,5 @@
 import random
+import sys
 from operator import add
 
 import pytest
@@ -267,13 +268,22 @@ def test_g94_spot_value(g94):
     assert value == 1
 
 
-@pytest.mark.parametrize("series, rank", [("G", 2), ("A", 3), ("B", 3), ("C", 3)])
-def test_masks_match_brute_force(series, rank):
-    """Every l(u)-subset of w's positions whose subword is u, found by brute force."""
+@pytest.mark.parametrize("series, rank, k_set", [
+    ("G", 2, {1, 2}), ("A", 3, {1, 2, 3}), ("B", 3, {1, 2, 3}), ("C", 3, {1, 2, 3}),
+    ("A", 4, {2}), ("B", 3, {1}), ("C", 3, {2}), ("G", 2, {1}), ("D", 4, {2}),
+], ids=["G-2", "A-3", "B-3", "C-3", "A-4-P2", "B-3-P1", "C-3-P2", "G-2-P1", "D-4-P2"])
+def test_masks_match_brute_force(series, rank, k_set):
+    """Every l(u)-subset of w's positions whose subword is u, found by brute force.
+
+    The subsets are compared with u as a Weyl group element, so on the
+    parabolic spaces this also checks the coset vectors the masks are built
+    from.  Longest words come first, so their masks are built down the whole
+    parent chain before any ancestor is memoized.
+    """
     cm = builtin_cartan(series, rank)
-    table = enumerate_cosets(cm, set(range(1, rank + 1)))
+    table = enumerate_cosets(cm, k_set)
     entries = list(table.entries())
-    for w in entries:
+    for w in reversed(entries):
         m = len(w.word)
         # element of each position subset's subword, grouped by subset size
         by_size: dict = {}
@@ -286,6 +296,19 @@ def test_masks_match_brute_force(series, rank):
             target = element_of_word(cm, u.word)
             expected = tuple(mask for elem, mask in by_size[u.m] if elem == target)
             assert class_factor_masks(table, w, u) == expected, (w.word, u.word)
+
+
+def test_masks_of_a_deep_word():
+    """On CP^1100 the hyperplane class sits only at the last of 1100 letters.
+
+    The masks come from the parent word's, 1100 words deep, with Python's
+    default recursion limit.
+    """
+    assert sys.getrecursionlimit() < 1100
+    table = enumerate_cosets(builtin_cartan("A", 1100), {1})
+    top = table.entry(1100, 1)
+    h = table.lookup_word([1])
+    assert class_factor_masks(table, top, h) == (1 << 1099,)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 70])

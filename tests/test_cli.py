@@ -75,6 +75,14 @@ def test_decompose_negative_max_len_exits_one(runner):
     assert "OutOfRange" in result.output
 
 
+def test_decompose_negative_limit_exits_one(runner):
+    result = runner.invoke(main, ["decompose", "--group", "A3", "--k", "2",
+                                  "--limit", "-1", "--format", "json"])
+    assert result.exit_code == 1
+    assert "OutOfRange" in result.output
+    assert "ResourceLimit" not in result.output
+
+
 @pytest.mark.parametrize("args", [
     ["present", "--group", "A3", "--k", "2", "--max-deg", "-3"],
     ["present", "--group", "A3", "--k", "2", "--max-deg", "-1", "--format", "json"],

@@ -172,10 +172,11 @@ def test_coset_totals_are_index_counts(g42, g52, g63, e6p2, cp3):
 
 
 def test_matrix_reconstruction(g42, g2t):
-    # every stored word reduces back to its own entry
+    # every stored word reduces back to its own entry, and so does its vector
     for table in (g42, g2t):
         for e in table.entries():
             assert table.lookup_word(e.word) is e
+            assert table._by_vector[table.vector(e)] is e
 
 
 def test_enumerate_errors():
@@ -188,6 +189,8 @@ def test_enumerate_errors():
         enumerate_cosets(a3, {1, 2, 3}, limit=5)
     with pytest.raises(OutOfRange):
         enumerate_cosets(a3, {2}, max_length=-3)
+    with pytest.raises(OutOfRange, match="limit"):
+        enumerate_cosets(a3, {2}, limit=-1)
 
 
 def test_unreached_bound_is_complete():
