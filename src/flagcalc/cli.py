@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .errors import FlagcalcError, ResourceLimit
+from .errors import DegreeMismatch, FlagcalcError, ResourceLimit
 
 if TYPE_CHECKING:
     from .cartan import CartanMatrix
@@ -130,6 +130,7 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
     accepted as an alternate power spelling).
     """
     out: list[CosetEntry] = []
+    degree = 0
     rest = spec.strip()
     pos = 0
     while pos < len(rest):
@@ -139,8 +140,15 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
         match = _TOKEN_RE.match(rest, pos)
         if not match:
             raise click.UsageError(f"cannot parse class specifier at {rest[pos:]!r}")
-        base, power = match.group(1), int(match.group(2) or 1)
-        out.extend([_resolve_class(table, base)] * power)
+        entry = _resolve_class(table, match.group(1))
+        power = int(match.group(2) or 1)
+        # refuse an impossible degree before building the list, so a huge
+        # power costs nothing; a zero-length factor is the unit, kept once
+        degree += entry.m * power
+        if degree > table.top_length:
+            raise DegreeMismatch(f"classes have total degree at least {degree}, "
+                                 f"beyond the table's longest length {table.top_length}")
+        out.extend([entry] * (power if entry.m else min(power, 1)))
         pos = match.end()
     if not out:
         raise click.UsageError("empty class specifier")
@@ -148,6 +156,13 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
 
 
 def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
+    """One class from a single token of ``parse_classes``' grammar, unpowered."""
+    match = _TOKEN_RE.fullmatch(token.strip())
+    if not match:
+        raise click.UsageError(f"cannot parse class {token!r}")
+    if match.group(2):
+        raise click.UsageError(f"{token!r} is a power; a single class is expected")
+    token = match.group(1)
     if token.startswith("c"):
         r = int(token[1:])
         if len(table.k_set) != 1:

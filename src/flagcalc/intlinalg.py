@@ -3,11 +3,15 @@
 Everything here works on lists of Python ints, so entries never overflow.
 Matrices are small throughout the package (monomial and Schubert bases per
 degree), which keeps the classical minimal-pivot algorithms comfortable.
+The Smith form's elimination updates only the matrix and logs its
+elementary operations; a unimodular transform is replayed from the log the
+first time a caller reads it, so unread transforms cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _copy(mat) -> list[list[int]]:
@@ -18,14 +22,46 @@ def _eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _replay(n: int, ops, inverse: bool) -> list[list[int]]:
+    """Apply a log of elementary row operations to the n x n identity.
+
+    ``("axpy", i, j, k)`` is row_i += k * row_j; ``("swap", i, j)`` and
+    ``("neg", i)`` are their own inverses and transposes.  With ``inverse``
+    each axpy is applied as row_j -= k * row_i, the transpose of its
+    inverse: replaying a row log that way gives the transpose of the
+    inverse of its product.
+    """
+    x = _eye(n)
+    for op in ops:
+        kind = op[0]
+        if kind == "axpy":
+            _, i, j, k = op
+            if inverse:
+                x[j] = [a - k * b for a, b in zip(x[j], x[i])]
+            else:
+                x[i] = [a + k * b for a, b in zip(x[i], x[j])]
+        elif kind == "swap":
+            _, i, j = op
+            x[i], x[j] = x[j], x[i]
+        else:
+            x[op[1]] = [-a for a in x[op[1]]]
+    return x
+
+
 @dataclass
 class SNFResult:
-    """P @ M @ Q = D with P, Q unimodular; Q's inverse tracked alongside."""
+    """P @ M @ Q = D with P, Q unimodular.
+
+    Holds D and the logs of the elimination's row and column operations
+    (see ``_replay``).  ``p``, ``p_inv``, ``q`` and ``q_inv`` are each
+    replayed from their log once, on first read.  Column operations act on
+    Q from the right, so Q (as its transpose) and Q^-1 are row replays of
+    the column log, and P^-1 is the transpose of the inverse replay.
+    """
 
     d: list[list[int]]
-    p: list[list[int]]
-    q: list[list[int]]
-    q_inv: list[list[int]]
+    row_ops: list[tuple]
+    col_ops: list[tuple]
 
     @property
     def diagonal(self) -> list[int]:
@@ -34,6 +70,23 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
+
+    @cached_property
+    def p(self) -> list[list[int]]:
+        return _replay(len(self.d), self.row_ops, False)
+
+    @cached_property
+    def p_inv(self) -> list[list[int]]:
+        return [list(c) for c in zip(*_replay(len(self.d), self.row_ops, True))]
+
+    @cached_property
+    def q(self) -> list[list[int]]:
+        cols = len(self.d[0]) if self.d else 0
+        return [list(c) for c in zip(*_replay(cols, self.col_ops, False))]
+
+    @cached_property
+    def q_inv(self) -> list[list[int]]:
+        return _replay(len(self.d[0]) if self.d else 0, self.col_ops, True)
 
 
 def smith_normal_form(mat) -> SNFResult:
@@ -45,34 +98,17 @@ def smith_normal_form(mat) -> SNFResult:
     m = _copy(mat)
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    p = _eye(rows)
-    q, q_inv = _eye(cols), _eye(cols)
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
 
     def row_axpy(i, j, k):  # row_i += k * row_j
         m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-        p[i] = [a + k * b for a, b in zip(p[i], p[j])]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        p[i], p[j] = p[j], p[i]
-
-    def row_neg(i):
-        m[i] = [-a for a in m[i]]
-        p[i] = [-a for a in p[i]]
+        row_ops.append(("axpy", i, j, k))
 
     def col_axpy(i, j, k):  # col_i += k * col_j
         for r in m:
             r[i] += k * r[j]
-        for r in q:
-            r[i] += k * r[j]
-        q_inv[j] = [a - k * b for a, b in zip(q_inv[j], q_inv[i])]
-
-    def col_swap(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
-        q_inv[i], q_inv[j] = q_inv[j], q_inv[i]
+        col_ops.append(("axpy", i, j, k))
 
     for t in range(min(rows, cols)):
         while True:
@@ -93,11 +129,15 @@ def smith_normal_form(mat) -> SNFResult:
                 break
             _, bi, bj = best
             if bi != t:
-                row_swap(t, bi)
+                m[t], m[bi] = m[bi], m[t]
+                row_ops.append(("swap", t, bi))
             if bj != t:
-                col_swap(t, bj)
+                for r in m:
+                    r[t], r[bj] = r[bj], r[t]
+                col_ops.append(("swap", t, bj))
             if m[t][t] < 0:
-                row_neg(t)
+                m[t] = [-a for a in m[t]]
+                row_ops.append(("neg", t))
             pivot = m[t][t]
             dirty = False
             for i in range(t + 1, rows):
@@ -124,7 +164,7 @@ def smith_normal_form(mat) -> SNFResult:
             if offender is None:
                 break
             row_axpy(t, offender, 1)
-    return SNFResult(m, p, q, q_inv)
+    return SNFResult(m, row_ops, col_ops)
 
 
 def integer_diagonalize(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -202,65 +242,3 @@ def lattice_contains(hnf_basis: list[list[int]], vec) -> bool:
 def lattice_equal(rows_a, rows_b, cols: int) -> bool:
     return hnf_rows(rows_a, cols) == hnf_rows(rows_b, cols)
 
-
-def solve_in_row_lattice(basis_rows: list[list[int]], vecs) -> list[list[int] | None]:
-    """Integer coefficients c with c @ basis = v, for each v in ``vecs``.
-
-    Returns one entry per vector, in order: its coefficients, or None when
-    the vector is not in the row lattice.  ``basis_rows`` need not be in any
-    normal form; one HNF with transform, H = U @ basis, is built and every
-    vector is back-substituted against it (Cohen, GTM 138, section 2.4).
-    When the basis rows are linearly independent the coefficients are unique.
-    """
-    if not basis_rows:
-        return [None if any(v) else [] for v in vecs]
-    cols = len(basis_rows[0])
-    n = len(basis_rows)
-    # row-style HNF with transform U: H = U @ basis
-    h = [list(r) for r in basis_rows]
-    u = _eye(n)
-    pivots: list[int] = []  # pivots[idx]: pivot column of echelon row idx
-    for col in range(cols):
-        exhausted = len(pivots)
-        pivot_row = None
-        for r in range(exhausted, n):
-            if h[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        for r in range(pivot_row + 1, n):
-            while h[r][col]:
-                qq = h[pivot_row][col] // h[r][col]
-                h[pivot_row] = [a - qq * b for a, b in zip(h[pivot_row], h[r])]
-                u[pivot_row] = [a - qq * b for a, b in zip(u[pivot_row], u[r])]
-                h[pivot_row], h[r] = h[r], h[pivot_row]
-                u[pivot_row], u[r] = u[r], u[pivot_row]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        h[exhausted], h[pivot_row] = h[pivot_row], h[exhausted]
-        u[exhausted], u[pivot_row] = u[pivot_row], u[exhausted]
-        pivots.append(col)
-    out: list[list[int] | None] = []
-    for vec in vecs:
-        # back substitution against the echelon rows
-        v = list(vec)
-        coeffs = []
-        for row, pivot_col in zip(h, pivots):
-            k, rem = divmod(v[pivot_col], row[pivot_col])
-            if rem:
-                break
-            if k:
-                v = [a - k * b for a, b in zip(v, row)]
-            coeffs.append(k)
-        if len(coeffs) < len(pivots) or any(v):
-            out.append(None)
-            continue
-        # coeffs are in U-coordinates: c @ H = vec with H = U @ basis
-        sol = [0] * n
-        for k, u_row in zip(coeffs, u):
-            if k:
-                sol = [a + k * b for a, b in zip(sol, u_row)]
-        out.append(sol)
-    return out

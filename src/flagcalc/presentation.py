@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 from .characteristics import monomial_vector
 from .errors import NonSurjective, OutOfRange, TruncatedTable
-from .intlinalg import (
-    hnf_rows,
-    integer_diagonalize,
-    lattice_contains,
-    smith_normal_form,
-    solve_in_row_lattice,
-)
+from .intlinalg import hnf_rows, integer_diagonalize, lattice_contains, smith_normal_form
 from .weyl import CosetEntry, CosetTable
 
 __all__ = [
@@ -186,24 +180,26 @@ def generator_set_from_words(table: CosetTable, words) -> GeneratorSet:
     return GeneratorSet(tuple(entries))
 
 
-def _relation_degree_rows(relations, degrees, m: int,
-                          index_of: dict) -> list[list[int]]:
-    """Coefficient vectors over B(m) of {monomial * f} for known relations f."""
-    rows = []
+def _relation_multiples(relations, degrees, m: int, index_of: dict):
+    """{monomial * f} for known relations f, as sparse (index, coef) vectors over B(m)."""
+    out = []
     for rel in relations:
         gap = m - rel.degree
         if gap < 0:
             continue
         for mono in monomial_basis(degrees, gap):
-            shifted: dict = {}
-            for exps, coef in rel.terms:
-                key = tuple(x + y for x, y in zip(exps, mono))
-                shifted[key] = coef
-            row = [0] * len(index_of)
-            for exps, coef in shifted.items():
-                row[index_of[exps]] = coef
-            rows.append(row)
-    return rows
+            out.append([(index_of[tuple(x + y for x, y in zip(exps, mono))], coef)
+                        for exps, coef in rel.terms])
+    return out
+
+
+def _combine(pairs, width: int) -> list[int]:
+    """The sum of c * row over (c, row) pairs, skipping zero coefficients."""
+    out = [0] * width
+    for c, row in pairs:
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return out
 
 
 def _relation_terms(vec, monomials):
@@ -220,13 +216,15 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
                    max_degree: int | None = None) -> Presentation:
     """Degreewise-minimal generating set of the relation ideal up to a bound.
 
-    At each degree one Smith normal form of the expansion matrix checks that
-    the generators span the Schubert basis and gives the kernel lattice (the
-    trailing rows of its left transform).  The multiples of lower-degree
-    relations are written in kernel coordinates in one batched solve (one
-    HNF with transform), and the quotient's minimal generators (one per
-    nontrivial invariant factor of the inclusion, found through a second
-    Smith normal form) are adjoined as new relations.
+    At each degree one Smith normal form P @ M @ Q = D of the expansion
+    matrix checks that the generators span the Schubert basis and gives the
+    kernel lattice (the trailing rows of P).  Each multiple z of a
+    lower-degree relation is written in that basis as z @ P^-1, whose
+    leading ``rank`` entries must vanish and whose trailing entries are its
+    unique kernel coordinates (no lattice solve is needed).  The quotient's
+    minimal generators (one per nontrivial invariant factor of the
+    inclusion, found through a second Smith normal form) are adjoined as
+    new relations.
     """
     if max_degree is None:
         table.require_complete("find_relations without explicit max_degree")
@@ -240,6 +238,7 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
         monomials = tuple(monomial_basis(degrees, m))
         if not monomials:
             continue
+        b = len(monomials)
         index_of = {e: i for i, e in enumerate(monomials)}
         matrix = expansion_matrix(table, gens, m)
         # one SNF gives both the surjectivity check and the left kernel
@@ -247,36 +246,33 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
         snf = smith_normal_form([list(r) for r in matrix.rows])
         if snf.rank < beta or any(d not in (0, 1) for d in snf.diagonal):
             raise NonSurjective(f"generators do not span the Schubert basis at degree {m}")
-        kernel = snf.p[snf.rank:]
+        rank = snf.rank
+        kernel = snf.p[rank:]
         if not kernel:
             continue
-        old_rows = _relation_degree_rows(relations, degrees, m, index_of)
-        # coordinates of the old sublattice inside the kernel lattice
-        coords = solve_in_row_lattice(kernel, old_rows)
-        if any(c is None for c in coords):
-            raise NonSurjective(
-                f"degree-{m} relation multiple escapes the kernel lattice"
-            )  # pragma: no cover
-        rank = len(kernel)
+        old = _relation_multiples(relations, degrees, m, index_of)
         new_vecs: list[list[int]] = []
-        if not coords:
+        if not old:
             new_vecs = [row[:] for row in kernel]
         else:
+            # coordinates of the old sublattice inside the kernel lattice
+            p_inv = snf.p_inv
+            coords = []
+            for z in old:
+                y = _combine(((c, p_inv[k]) for k, c in z), b)
+                if any(y[:rank]):
+                    raise NonSurjective(
+                        f"degree-{m} relation multiple escapes the kernel lattice"
+                    )  # pragma: no cover
+                coords.append(y[rank:])
             res = smith_normal_form(coords)
-            diag = [res.d[i][i] if i < len(res.d) and i < len(res.d[0]) else 0
-                    for i in range(rank)]
-            # primed kernel basis rows: Q^{-1} @ kernel
-            for idx in range(rank):
-                d = diag[idx] if idx < len(diag) else 0
-                if d == 1:
+            diag = res.diagonal
+            # primed kernel basis rows (Q^-1 @ kernel) whose invariant
+            # factor is not 1
+            for idx in range(len(kernel)):
+                if idx < len(diag) and diag[idx] == 1:
                     continue
-                vec = [0] * len(monomials)
-                for t in range(rank):
-                    c = res.q_inv[idx][t]
-                    if c:
-                        for col in range(len(monomials)):
-                            vec[col] += c * kernel[t][col]
-                new_vecs.append(vec)
+                new_vecs.append(_combine(zip(res.q_inv[idx], kernel), b))
         batch = []
         for vec in new_vecs:
             terms = _relation_terms(vec, monomials)
@@ -300,13 +296,11 @@ def schubert_polynomials(table: CosetTable, gens: GeneratorSet, m: int) -> list[
     if len([x for x in diag if x]) < beta or any(x not in (0, 1) for x in diag):
         raise NonSurjective(f"expansion matrix not onto at degree {m}")
     # coefficients of the polynomials over the monomial basis: Q @ P[:beta]
-    coeff = [[sum(q[i][t] * p[t][col] for t in range(beta)) for col in range(matrix.b)]
-             for i in range(beta)]
+    coeff = [_combine(zip(q[i], p), matrix.b) for i in range(beta)]
     out = []
     for i in range(beta):
         # verify pi(G) = s_{m,i+1} exactly, by re-expansion through the matrix
-        image = [sum(coeff[i][r] * matrix.rows[r][col] for r in range(matrix.b))
-                 for col in range(beta)]
+        image = _combine(zip(coeff[i], matrix.rows), beta)
         expected = [1 if col == i else 0 for col in range(beta)]
         if image != expected:
             raise NonSurjective(

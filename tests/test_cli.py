@@ -376,3 +376,33 @@ def test_oracle_lr_bad_partition_is_usage_error(runner):
     result = runner.invoke(main, ["oracle", "lr", "--lam", "2,x", "--mu", "1", "--nu", "3"])
     assert result.exit_code == 2
     assert "2,x" in result.output
+
+
+def test_single_class_power_is_usage_error(runner):
+    # --u/--v/--w take one class; a power used to end in a ValueError traceback
+    result = runner.invoke(main, ["multiply", "--group", "A3", "--k", "2",
+                                  "--u", "c1^2", "--v", "[2]"])
+    assert result.exit_code == 2
+    assert "c1^2" in result.output
+
+
+def test_unparsable_single_class_is_usage_error(runner):
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
+                                  "--w", "junk", "--classes", "[2]"])
+    assert result.exit_code == 2
+    assert "junk" in result.output
+
+
+def test_huge_power_refused_before_expansion(runner):
+    # the degree check comes before the factor list is built, so this power
+    # is refused at once instead of raising MemoryError
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
+                                  "--classes", "c1^99999999999"])
+    assert result.exit_code == 1
+    assert "DegreeMismatch" in result.output
+    assert not isinstance(result.exception, MemoryError)
+    # the unit class adds no degree; any power of it is one factor
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "2", "--w", "[]",
+                                  "--classes", "[]^99999999999"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "[]^99999999999 = 1"

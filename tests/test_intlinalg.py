@@ -6,7 +6,6 @@ from flagcalc.intlinalg import (
     lattice_contains,
     lattice_equal,
     smith_normal_form,
-    solve_in_row_lattice,
 )
 from flagcalc.presentation import integer_diagonalize
 
@@ -66,14 +65,34 @@ def test_snf_random_properties():
         assert _mat_mul(_mat_mul(res.p, m), res.q) == res.d
         assert abs(int_det(tuple(map(tuple, res.p)))) == 1
         assert abs(int_det(tuple(map(tuple, res.q)))) == 1
+        eye_r = [[int(i == j) for j in range(rows)] for i in range(rows)]
         eye_c = [[int(i == j) for j in range(cols)] for i in range(cols)]
         assert _mat_mul(res.q, res.q_inv) == eye_c
+        assert _mat_mul(res.p, res.p_inv) == eye_r
         diag = res.diagonal
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else b == 0
         for z in kernel_basis(m):
             assert all(sum(z[k] * m[k][j] for k in range(rows)) == 0 for j in range(cols))
+
+
+def test_snf_transforms_replay_in_any_order():
+    # each transform is replayed from the operation log on first read and
+    # cached; reading them in different orders gives the same matrices
+    rng = random.Random(31)
+    names = ["p", "p_inv", "q", "q_inv"]
+    for _ in range(40):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        first = smith_normal_form(m)
+        ref = {name: getattr(first, name) for name in names}
+        for order in (names[::-1], ["q_inv", "p", "q", "p_inv"]):
+            res = smith_normal_form(m)
+            got = {name: getattr(res, name) for name in order}
+            assert got == ref
+            assert all(getattr(res, name) is got[name] for name in names)
 
 
 def test_lattice_membership_and_solve():
@@ -83,17 +102,11 @@ def test_lattice_membership_and_solve():
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         h = hnf_rows(m, cols)
-        # several combinations in one call, all solved against one HNF
-        combos = []
+        # several combinations, each a member of the lattice
         for _ in range(rng.randint(1, 4)):
             coeffs = [rng.randint(-3, 3) for _ in range(rows)]
-            combos.append([sum(coeffs[i] * m[i][j] for i in range(rows)) for j in range(cols)])
-        sols = solve_in_row_lattice(m, combos)
-        assert len(sols) == len(combos)
-        for combo, sol in zip(combos, sols):
+            combo = [sum(coeffs[i] * m[i][j] for i in range(rows)) for j in range(cols)]
             assert lattice_contains(h, combo)
-            assert sol is not None
-            assert [sum(sol[i] * m[i][j] for i in range(rows)) for j in range(cols)] == combo
 
 
 def test_lattice_equality_canonical():
@@ -107,11 +120,7 @@ def test_lattice_equality_canonical():
 
 def test_non_member_detected():
     assert not lattice_contains(hnf_rows([[2, 0], [0, 2]], 2), [1, 0])
-    assert solve_in_row_lattice([[2, 0], [0, 2]], [[1, 0]]) == [None]
-    assert solve_in_row_lattice([], [[0, 0]]) == [[]]
-    assert solve_in_row_lattice([], [[1, 0]]) == [None]
-    # a member, a non-member and the zero vector share one call
-    basis = [[2, 0, 1], [0, 3, 1]]
-    assert solve_in_row_lattice(basis, [[4, -3, 1], [2, 1, 0], [0, 0, 0]]) == [
-        [2, -1], None, [0, 0]]
-    assert solve_in_row_lattice(basis, []) == []
+    h = hnf_rows([[2, 0, 1], [0, 3, 1]], 3)
+    assert lattice_contains(h, [4, -3, 1])
+    assert not lattice_contains(h, [2, 1, 0])
+    assert lattice_contains(h, [0, 0, 0])

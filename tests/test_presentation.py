@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flagcalc import builtin_cartan, enumerate_cosets
@@ -163,6 +165,30 @@ def test_full_flag_relations_match_borel(rank, bound, degrees):
         rows_b = _ideal_rows(borel, gens.degrees, m)
         if rows_a or rows_b:
             assert lattice_equal(rows_a, rows_b, len(monomial_basis(gens.degrees, m)))
+
+
+# SHA-256 of repr() of the relations [(degree, terms), ...] and of the
+# Schubert polynomials [(degree, index, terms), ...] in every degree up to
+# the bound, recorded with the implementation that solved for kernel
+# coordinates by an HNF with transform.  Soundness and completeness checks
+# accept any basis of the same lattices; this pins the exact outputs.
+_PINNED_OUTPUTS = {
+    ("B", 3, 9): ("0df2a071196ae8d0f5711a3ee4817a65321b6998d3f7c7cbd96772a287f5c780",
+                  "dda30cebb2f8c37bda36cfceda0a939841709f8c51febf45fc8c3ff45fd71dda"),
+    ("A", 4, 8): ("2567e146e62c160ec85385a3ab431d888b6427b4f95ff8998421c06398c3c7ed",
+                  "ff066e429302ef68291eadfdf201b7ee396dfbbfc2fc841dab420d84130cc60e"),
+}
+
+
+@pytest.mark.parametrize("series,rank,bound", sorted(_PINNED_OUTPUTS))
+def test_presentation_outputs_pinned(series, rank, bound):
+    table = enumerate_cosets(builtin_cartan(series, rank), set(range(1, rank + 1)))
+    gens = find_generators(table, bound)
+    rels = [(r.degree, r.terms) for r in find_relations(table, gens, bound).relations]
+    polys = [(sp.degree, sp.index, sp.terms)
+             for m in range(bound + 1) for sp in schubert_polynomials(table, gens, m)]
+    digests = tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (rels, polys))
+    assert digests == _PINNED_OUTPUTS[series, rank, bound]
 
 
 def test_relations_empty_below_first_kernel(cp3):
