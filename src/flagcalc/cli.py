@@ -141,7 +141,12 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
         if not match:
             raise click.UsageError(f"cannot parse class specifier at {rest[pos:]!r}")
         entry = _resolve_class(table, match.group(1))
-        power = int(match.group(2) or 1)
+        # a power with more digits than the longest length + 1 reads as
+        # that length + 1, which the degree check refuses all the same; so
+        # a power too long for int() never reaches it
+        cap = table.top_length + 1
+        digits = (match.group(2) or "1").lstrip("0")
+        power = cap if len(digits) > len(str(cap)) else int(digits or "0")
         # refuse an impossible degree before building the list, so a huge
         # power costs nothing; a zero-length factor is the unit, kept once
         degree += entry.m * power
@@ -155,6 +160,15 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
     return out
 
 
+def _int(text: str) -> int:
+    """A number of the class grammar; one too long for int() is a usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError(
+            f"a number of {len(text.strip())} digits in a class specifier is too long")
+
+
 def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
     """One class from a single token of ``parse_classes``' grammar, unpowered."""
     match = _TOKEN_RE.fullmatch(token.strip())
@@ -164,7 +178,7 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
         raise click.UsageError(f"{token!r} is a power; a single class is expected")
     token = match.group(1)
     if token.startswith("c"):
-        r = int(token[1:])
+        r = _int(token[1:])
         if len(table.k_set) != 1:
             raise click.UsageError("c<r> shorthand needs a singleton K")
         k = next(iter(table.k_set))
@@ -173,7 +187,7 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
         return table.lookup_word(tuple(range(k - r + 1, k + 1)))
     if token.startswith("y"):
         from .presentation import find_generators
-        d = int(token[1:])
+        d = _int(token[1:])
         if d < 1:
             raise click.UsageError(f"y{d}: generators are numbered from 1")
         bound = table.top_length if table.complete else table.max_length
@@ -183,13 +197,16 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
                 return gens.entries[d - 1]
         raise click.UsageError(f"table has fewer than {d} generators")
     if token.startswith("["):
-        word = [int(x) for x in token[1:-1].replace(" ", "").split(",") if x]
-        return table.lookup_word(word)
+        # letters are comma separated; spaces may pad a letter, not split one
+        letters = [x.split() for x in token[1:-1].split(",")]
+        if any(len(x) > 1 for x in letters):
+            raise click.UsageError(f"cannot parse word {token!r}: separate letters by commas")
+        return table.lookup_word([_int(x[0]) for x in letters if x])
     if token.startswith("part:"):
         from .oracle import partition_to_entry
-        parts = [int(x) for x in token[5:].split(",") if x]
+        parts = [_int(x) for x in token[5:].split(",") if x]
         return partition_to_entry(table, parts)
-    m, i = (int(x) for x in token[1:-1].split(","))
+    m, i = (_int(x) for x in token[1:-1].split(","))
     return table.entry(m, i)
 
 

@@ -406,3 +406,41 @@ def test_huge_power_refused_before_expansion(runner):
                                   "--classes", "[]^99999999999"])
     assert result.exit_code == 0
     assert result.output.strip() == "[]^99999999999 = 1"
+
+
+def test_spaces_inside_a_word_letter_are_usage_error(runner):
+    # '[1 2]' used to lose its space and become the one-letter word [12]
+    result = runner.invoke(main, ["multiply", "--group", "A12", "--k", "1",
+                                  "--u", "[1 2]", "--v", "[1]"])
+    assert result.exit_code == 2
+    assert "[1 2]" in result.output
+    # spaces around a comma only pad the letters
+    padded = runner.invoke(main, ["multiply", "--group", "A3", "--k", "2",
+                                  "--u", "[ 1 , 2 ]", "--v", "[2]"])
+    plain = runner.invoke(main, ["multiply", "--group", "A3", "--k", "2",
+                                 "--u", "[1,2]", "--v", "[2]"])
+    assert padded.exit_code == plain.exit_code == 0
+    assert padded.output == plain.output
+
+
+def test_overlong_numbers_in_class_tokens(runner):
+    # past 4300 digits int() refuses a string; these used to end in a
+    # ValueError traceback
+    big = "9" * 5000
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
+                                  "--classes", f"c1^{big}"])
+    assert result.exit_code == 1
+    assert "DegreeMismatch" in result.output
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "2", "--w", "[]",
+                                  "--classes", f"[]^{big}"])
+    assert result.exit_code == 0
+    assert result.output.strip().endswith(" = 1")
+    for option in ("--u", "--v"):
+        other = "--v" if option == "--u" else "--u"
+        result = runner.invoke(main, ["multiply", "--group", "A3", "--k", "2",
+                                      option, f"[{big}]", other, "[2]"])
+        assert result.exit_code == 2
+        assert "5000 digits" in result.output
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
+                                  "--classes", f"({big},1)"])
+    assert result.exit_code == 2

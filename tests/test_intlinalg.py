@@ -1,5 +1,6 @@
 import random
 
+from flagcalc import builtin_cartan, enumerate_cosets, presentation
 from flagcalc.intlinalg import (
     hnf_rows,
     kernel_basis,
@@ -124,3 +125,151 @@ def test_non_member_detected():
     assert lattice_contains(h, [4, -3, 1])
     assert not lattice_contains(h, [2, 1, 0])
     assert lattice_contains(h, [0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The elimination against the full-block one it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _reference_snf(mat):
+    """Minimal-pivot Smith form on the whole matrix: (D, row log, column log).
+
+    Every row and column operation spans the full matrix and the pivot's
+    divisibility check runs after every pivot, units included.
+    """
+    m = [list(r) for r in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    row_ops, col_ops = [], []
+
+    def row_axpy(i, j, k):
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        row_ops.append(("axpy", i, j, k))
+
+    def col_axpy(i, j, k):
+        for r in m:
+            r[i] += k * r[j]
+        col_ops.append(("axpy", i, j, k))
+
+    for t in range(min(rows, cols)):
+        while True:
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    v = abs(m[i][j])
+                    if v and (best is None or v < best[0]):
+                        best = (v, i, j)
+                        if v == 1:
+                            break
+                if best is not None and best[0] == 1:
+                    break
+            if best is None:
+                break
+            _, bi, bj = best
+            if bi != t:
+                m[t], m[bi] = m[bi], m[t]
+                row_ops.append(("swap", t, bi))
+            if bj != t:
+                for r in m:
+                    r[t], r[bj] = r[bj], r[t]
+                col_ops.append(("swap", t, bj))
+            if m[t][t] < 0:
+                m[t] = [-a for a in m[t]]
+                row_ops.append(("neg", t))
+            pivot = m[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    row_axpy(i, t, -(m[i][t] // pivot))
+                    if m[i][t]:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    col_axpy(j, t, -(m[t][j] // pivot))
+                    if m[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if m[i][j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_axpy(t, offender, 1)
+    return m, row_ops, col_ops
+
+
+def _reference_replay(n, ops, inverse):
+    """The log applied to dense rows of the n x n identity."""
+    x = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op in ops:
+        if op[0] == "axpy":
+            _, i, j, k = op
+            if inverse:
+                x[j] = [a - k * b for a, b in zip(x[j], x[i])]
+            else:
+                x[i] = [a + k * b for a, b in zip(x[i], x[j])]
+        elif op[0] == "swap":
+            x[op[1]], x[op[2]] = x[op[2]], x[op[1]]
+        else:
+            x[op[1]] = [-a for a in x[op[1]]]
+    return x
+
+
+def _assert_matches_reference(mat, res=None):
+    d, row_ops, col_ops = _reference_snf(mat)
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    if res is None:
+        res = smith_normal_form(mat)
+    assert (res.d, res.row_ops, res.col_ops) == (d, row_ops, col_ops)
+    assert res.p == _reference_replay(rows, row_ops, False)
+    assert res.p_inv == [list(c) for c in zip(*_reference_replay(rows, row_ops, True))]
+    assert res.q == [list(c) for c in zip(*_reference_replay(cols, col_ops, False))]
+    assert res.q_inv == _reference_replay(cols, col_ops, True)
+
+
+def test_snf_matches_full_block_reference():
+    rng = random.Random(1105)
+    mats = [[], [[]], [[], []], [[0, 0, 0]], [[6, 10], [15, 0]]]
+    for _ in range(600):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        scale = rng.choice([1, 1, 2, 3, 6])  # 2, 3 and 6 force pivots above 1
+        density = rng.choice([1.0, 0.5, 0.15])
+        m = [[scale * rng.randint(-9, 9) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            zero = rng.randrange(cols)
+            for r in m:
+                r[zero] = 0
+        mats.append(m)
+    for m in mats:
+        _assert_matches_reference(m)
+
+
+def test_snf_matches_reference_on_a4_presentation(monkeypatch):
+    # every Smith form of find_relations on the full flags of A4 through the
+    # top degree: the expansion matrices and the kernel coordinates of the
+    # lower-degree relation multiples (425 x 285 at degree 10)
+    seen = []
+
+    def recording(mat):
+        res = smith_normal_form(mat)
+        seen.append((mat, res))
+        return res
+
+    monkeypatch.setattr(presentation, "smith_normal_form", recording)
+    table = enumerate_cosets(builtin_cartan("A", 4), {1, 2, 3, 4})
+    gens = presentation.find_generators(table, 10)
+    presentation.find_relations(table, gens, 10)
+    assert max(len(m) for m, _ in seen) == 425
+    for m, res in seen:
+        _assert_matches_reference(m, res)

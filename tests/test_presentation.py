@@ -169,14 +169,18 @@ def test_full_flag_relations_match_borel(rank, bound, degrees):
 
 # SHA-256 of repr() of the relations [(degree, terms), ...] and of the
 # Schubert polynomials [(degree, index, terms), ...] in every degree up to
-# the bound, recorded with the implementation that solved for kernel
-# coordinates by an HNF with transform.  Soundness and completeness checks
-# accept any basis of the same lattices; this pins the exact outputs.
+# the bound.  B3/T and A4/T@8 were recorded with the implementation that
+# solved for kernel coordinates by an HNF with transform, A4/T@10 (the top
+# degree) with the Smith elimination that ran every operation on the whole
+# matrix.  Soundness and completeness checks accept any basis of the same
+# lattices; this pins the exact outputs.
 _PINNED_OUTPUTS = {
     ("B", 3, 9): ("0df2a071196ae8d0f5711a3ee4817a65321b6998d3f7c7cbd96772a287f5c780",
                   "dda30cebb2f8c37bda36cfceda0a939841709f8c51febf45fc8c3ff45fd71dda"),
     ("A", 4, 8): ("2567e146e62c160ec85385a3ab431d888b6427b4f95ff8998421c06398c3c7ed",
                   "ff066e429302ef68291eadfdf201b7ee396dfbbfc2fc841dab420d84130cc60e"),
+    ("A", 4, 10): ("2567e146e62c160ec85385a3ab431d888b6427b4f95ff8998421c06398c3c7ed",
+                   "127b45bfdabc612a04681ebfc53977cd0118a2456e22e61d11bdabbeb7d338c7"),
 }
 
 
