@@ -13,18 +13,26 @@ the factors, and collapse the product with the elimination rules
     iii) h * x_m^r  ->  h * (a_{1,m} x_1 + ... + a_{m-1,m} x_{m-1})^(r-1)
          with the top row and column of A deleted.
 
-``triangular_operator`` applies the rules to an explicitly expanded
-polynomial.  The product engine applies the same rules to two factors only:
-the structure constant c^w_{u,v} is the functional of w's word on the product
-of the two mask sums, and these constants are memoized per table as one row
-per unordered pair {u, v}.  A monomial of any length is then folded one
-factor at a time in the Schubert basis, and ``characteristic``,
-``multiply_schubert`` and the presentation's expansion matrices all read from
-the same rows.  Both routes run one elimination routine, ``_eliminate``, on
-exponent vectors packed into Python ints (see ``polyint``).  Per target word
-the table memoizes the nonzero entries of A_w's columns and every class's
-masks, as bitmasks and in packed form; a word's bitmasks are built from its
-parent word's in the coset tree (``class_factor_masks``).
+The rules compute the integral of the word's Bott-Samelson ring
+Z[x_1..x_m]/(x_k^2 - x_k L_k), L_k = a_{1,k} x_1 + ... + a_{k-1,k} x_{k-1}:
+the coefficient of x_1...x_m in its squarefree basis (Duan, Adv. Math. 180
+(2003); Duan, Invent. Math. 159 (2005)).  The one kernel,
+``_top_coefficient``, works in that basis: each extra factor x_d is a
+downward chain sweep over A's columns that fills one hole of the support,
+and states that can no longer fill their highest hole are pruned, so no
+power of L_k is expanded (the argument is in ``triangular_operator``).
+
+``triangular_operator`` applies the functional to an explicitly expanded
+polynomial.  The product engine applies it to two factors only: the
+structure constant c^w_{u,v} is the functional of w's word on the product
+of the two mask sums, x_a x_b = x_{a|b} times one multiplier per position
+of a & b, and these constants are memoized per table as one row per
+unordered pair {u, v}.  A monomial of any length is then folded one factor
+at a time in the Schubert basis, and ``characteristic``,
+``multiply_schubert`` and the presentation's expansion matrices all read
+from the same rows.  Per target word the table memoizes the nonzero entries
+of A_w's columns and every class's masks as bitmasks; a word's masks are
+built from its parent word's in the coset tree (``class_factor_masks``).
 """
 
 from __future__ import annotations
@@ -33,10 +41,7 @@ from dataclasses import dataclass
 
 from .cartan import CartanMatrix
 from .errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
-from .polyint import LinearPowerCache
 from .weyl import CosetEntry, CosetTable, _apply_gen_vec
-
-_LPC = LinearPowerCache()
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,26 @@ def triangular_operator(a: StructureMatrix, h) -> int:
 
     ``h`` is a GradedIntPolynomial (or a raw exponent dict) of degree m in
     m variables where m = a.size; anything else is a DegreeMismatch.
+
+    Rules i-iii are the definition, and they compute the coefficient of
+    x_1...x_m in the squarefree basis of the Bott-Samelson ring
+    Z[x_1..x_m]/(x_k^2 - x_k L_k), L_k = a_{1,k} x_1 + ... + a_{k-1,k} x_{k-1}
+    (Duan, "The degree of a Schubert variety", Adv. Math. 180 (2003); Duan,
+    "Multiplicative rule of Schubert classes", Invent. Math. 159 (2005)).
+    Rule iii is the relation x_m^r = x_m L_m^(r-1); a product g x_m with g
+    free of x_m is (g reduced) x_m, so peeling x_m leaves the functional of
+    the smaller matrix; and no degree-m squarefree monomial misses x_m
+    (rule ii).  The coefficient is computed without expanding any power of
+    L_k.  A monomial x^e is the squarefree x_K over its support K times one
+    multiplier x_d for each exponent e_d beyond the first.  Since
+    x_d x_K = L_d x_K for d in K, a multiplier is one downward sweep from d:
+    a chain d > c_1 > ... > c_q through positions of K carries the weight
+    a_{c_1,d} a_{c_2,c_1} ... a_{h,c_q} and ends at a hole h of K, giving
+    x_{K+h}.  Each multiplier fills one hole below it and the multipliers
+    are taken in descending order, so a state whose highest hole is not
+    below the next multiplier is dropped, and a sweep stops at the lowest
+    hole, or at the highest hole when the multiplier after it lies below
+    that hole (then only that hole may still be filled).
     """
     m = a.size
     if isinstance(h, GradedIntPolynomial):
@@ -133,50 +158,56 @@ def triangular_operator(a: StructureMatrix, h) -> int:
                 raise DegreeMismatch(f"term {e} is not degree {m} in {m} variables")
             if c:
                 terms[e] = terms.get(e, 0) + c
-    width = m.bit_length()
-    cur = {sum(x << s * width for s, x in enumerate(e)): c for e, c in terms.items()}
+    # {descending multipliers: {support: coefficient}}
+    groups: dict = {}
+    for e, c in terms.items():
+        support = sum(1 << d for d, x in enumerate(e) if x)
+        mults = tuple(d for d in range(m - 1, -1, -1) for _ in range(e[d] - 1))
+        states = groups.setdefault(mults, {})
+        states[support] = states.get(support, 0) + c
     columns = [tuple((s, x) for s, x in enumerate(a.column(v + 1)) if x) for v in range(m)]
-    return _eliminate(cur, m, columns)
+    full = (1 << m) - 1
+    return sum(_top_coefficient(states, mults, columns, full)
+               for mults, states in groups.items())
 
 
-def _eliminate(cur: dict, m: int, columns) -> int:
-    """Rules i-iii on a degree-m polynomial in packed exponents.
+def _top_coefficient(states: dict, mults, columns, full: int) -> int:
+    """Coefficient of x_1...x_m in sum c x_K x_{d_1}...x_{d_r} (see triangular_operator).
 
-    A key holds the exponent of x_{s+1} in bits [s*W, (s+1)*W) with
-    W = m.bit_length(); no exponent exceeds m, so no field carries into the
-    next.  ``columns[v]`` holds the nonzero (s, a_{s+1,v+1}) with s < v, the
-    form that replaces x_{v+1}.
+    ``states`` maps a support bitmask K (bit d for x_{d+1}) to its
+    coefficient c; ``mults`` are the multiplier positions d_1 >= d_2 >= ...,
+    each inside every K; ``columns[j]`` holds the nonzero (s, a_{s+1,j+1})
+    with s < j.  ``weight[j]`` is the summed weight of the chains that have
+    reached position j.
     """
-    width = m.bit_length()
-    for v in range(m - 1, 0, -1):
-        shift = v * width
-        low = (1 << shift) - 1
-        col = columns[v]
+    n = len(mults)
+    for t in range(n):
+        d = mults[t]
+        after = mults[t + 1] if t + 1 < n else -1
         nxt: dict = {}
-        for e, c in cur.items():
-            r = e >> shift
-            if r == 0:
+        for support, c in states.items():
+            holes = full ^ support
+            high = holes.bit_length() - 1
+            if high > d:
                 continue
-            base = e & low
-            if r == 1:
-                val = nxt.get(base, 0) + c
-                if val:
-                    nxt[base] = val
+            low = high if high > after else (holes & -holes).bit_length() - 1
+            weight = [0] * (d + 1)
+            weight[d] = c
+            for j in range(d, low - 1, -1):
+                x = weight[j]
+                if not x:
+                    continue
+                if support >> j & 1:
+                    for s, y in columns[j]:
+                        if s >= low:
+                            weight[s] += x * y
                 else:
-                    del nxt[base]
-                continue
-            for le, lc in _LPC.power(col, r - 1, width).items():
-                key = base + le
-                val = nxt.get(key, 0) + c * lc
-                if val:
-                    nxt[key] = val
-                else:
-                    del nxt[key]
+                    key = support | 1 << j
+                    nxt[key] = nxt.get(key, 0) + x
         if not nxt:
             return 0
-        cur = nxt
-    # rule i reads c * x_1; the degree-0 functional reads the constant
-    return cur.get(1 if m else 0, 0)
+        states = nxt
+    return states.get(full, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +297,36 @@ def _word_memo(table: CosetTable, word: tuple[int, ...]) -> dict:
     """The table's memo for one target word, created on first use."""
     memo = table._char_cache.get(word)
     if memo is None:
-        memo = table._char_cache[word] = {"masks": {}, "spreads": {}, "columns": None}
+        memo = table._char_cache[word] = {"masks": {}, "columns": None}
     return memo
 
 
 def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntry) -> int:
-    """c^w_{u,v}: the operator of w's word on the product of the two mask sums."""
+    """c^w_{u,v}: the operator of w's word on the product of the two mask sums.
+
+    x_a x_b = x_{a|b} times one multiplier per position of a & b, so the
+    products are grouped by their shared positions and each group is one
+    call of the squarefree kernel.
+    """
     masks_u = class_factor_masks(table, w, u)
     masks_v = class_factor_masks(table, w, v)
     if not masks_u or not masks_v:
         return 0
+    groups: dict = {}
+    for a in masks_u:
+        for b in masks_v:
+            states = groups.setdefault(a & b, {})
+            states[a | b] = states.get(a | b, 0) + 1
     memo = table._char_cache[w.word]
-    poly: dict = {}
-    spread_v = _spreads(memo, v, masks_v, w.m)
-    for ea in _spreads(memo, u, masks_u, w.m):
-        for eb in spread_v:
-            e = ea + eb
-            poly[e] = poly.get(e, 0) + 1
     columns = memo["columns"]
     if columns is None:
         columns = memo["columns"] = _sparse_columns(table.cartan, w.word)
-    return _eliminate(poly, w.m, columns)
+    full = (1 << w.m) - 1
+    total = 0
+    for shared, states in groups.items():
+        mults = [d for d in range(shared.bit_length() - 1, -1, -1) if shared >> d & 1]
+        total += _top_coefficient(states, mults, columns, full)
+    return total
 
 
 def _sparse_columns(cartan: CartanMatrix, word: tuple[int, ...]) -> list:
@@ -304,24 +344,6 @@ def _sparse_columns(cartan: CartanMatrix, word: tuple[int, ...]) -> list:
         for h, c in nonzero[g - 1]:
             pending[h].append((t, -c))
     return columns
-
-
-def _spreads(memo: dict, u: CosetEntry, masks: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """u's masks on w's word as packed exponents (bit p -> field p), memoized."""
-    got = memo["spreads"].get((u.m, u.i))
-    if got is None:
-        width = m.bit_length()
-        got = memo["spreads"][(u.m, u.i)] = tuple(_spread(mask, width) for mask in masks)
-    return got
-
-
-def _spread(mask: int, width: int) -> int:
-    e = 0
-    while mask:
-        low = mask & -mask
-        e |= 1 << (low.bit_length() - 1) * width
-        mask ^= low
-    return e
 
 
 def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> dict:

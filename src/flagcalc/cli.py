@@ -64,8 +64,12 @@ def _resolve_cartan(group_label, cartan_file) -> CartanMatrix:
 def _resolve_k(k_spec: str, rank: int) -> frozenset[int]:
     if k_spec.strip().lower() == "all":
         return frozenset(range(1, rank + 1))
+    # nodes are comma separated; spaces may pad a node, not split one
+    nodes = [x.split() for x in k_spec.split(",")]
     try:
-        return frozenset(int(x) for x in k_spec.replace(" ", "").split(","))
+        if any(len(x) != 1 for x in nodes):
+            raise ValueError
+        return frozenset(int(x[0]) for x in nodes)
     except ValueError:
         raise click.UsageError(f"cannot parse K specifier {k_spec!r}")
 

@@ -147,7 +147,8 @@ def find_generators(table: CosetTable, max_degree: int | None = None,
     if not table.complete and max_degree > table.max_length:
         raise TruncatedTable(f"max_degree {max_degree} beyond table bound")
     chosen: list[CosetEntry] = []
-    for m in range(1, max_degree + 1):
+    # the layers above the top are empty and need no generator
+    for m in range(1, min(max_degree, table.top_length) + 1):
         beta = len(table.layer(m))
         if beta == 0:
             continue
@@ -233,7 +234,11 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
         raise OutOfRange(f"max_degree must be nonnegative, got {max_degree}")
     degrees = gens.degrees
     relations: list[Relation] = []
-    for m in range(1, max_degree + 1):
+    # above top + (largest generator degree) every monomial is a generator
+    # times a monomial above the top, which is already in the ideal: the
+    # relation multiples span each such degree and nothing is adjoined
+    last = min(max_degree, table.top_length + max(degrees, default=0))
+    for m in range(1, last + 1):
         beta = len(table.layer(m))
         monomials = tuple(monomial_basis(degrees, m))
         if not monomials:
@@ -285,6 +290,8 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
 
 def schubert_polynomials(table: CosetTable, gens: GeneratorSet, m: int) -> list[SchubertPolynomial]:
     """One polynomial per degree-m Schubert class, verified by re-expansion."""
+    if table.complete and m > table.top_length:
+        return []  # an empty layer; its monomial basis may be huge
     matrix = expansion_matrix(table, gens, m)
     beta = matrix.beta
     if beta == 0:

@@ -132,8 +132,8 @@ class CosetTable:
         # table's, not the queries', so clear_caches() keeps it
         self._layer_vectors: list[list[tuple[int, ...]]] | None = None
         # memos of characteristics.py: per target word (and per ancestor of
-        # one) its factor masks, packed masks and columns; two-factor rows per
-        # unordered pair of classes; vectors per sorted monomial
+        # one) its factor masks and columns; two-factor rows per unordered
+        # pair of classes; vectors per sorted monomial
         self._char_cache: dict = {}
         self._rows: dict = {}
         self._vectors: dict = {}

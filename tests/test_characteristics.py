@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from operator import add
@@ -139,12 +140,12 @@ def _reference_operator(rows, terms) -> int:
 
 @pytest.mark.parametrize("m", [3, 4, 7, 8, 15, 16])
 def test_operator_packing_widths(m):
-    """Exponents at the top of a field (m - 1 and m) survive the packed kernel.
+    """Exponents m - 1 and m, the longest runs of multipliers, against rules i-iii.
 
-    Widths are m.bit_length(), so m = 2^k - 1 fills a field and m = 2^k
-    starts a wider one.  The structure matrices are banded with a few far
-    entries, and the random terms use at most four variables; both keep the
-    expansions small at m = 16.
+    The sizes sit on both sides of powers of two, where the packed-exponent
+    kernel's field width grew.  The structure matrices are banded with a few
+    far entries, and the random terms use at most four variables; both keep
+    the reference's expansions small at m = 16.
     """
     rng = random.Random(1000 + m)
     for _ in range(2):
@@ -175,6 +176,146 @@ def test_operator_packing_widths(m):
             assert triangular_operator(a, {e: c}) == value, e
             expected += value
         assert triangular_operator(a, terms) == expected
+
+
+# ---------------------------------------------------------------------------
+# The squarefree kernel against the packed-exponent elimination it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _packed_power(pairs, r, width, store):
+    """(sum c x_{s+1})^r over pairs (s, c), in packed exponents, memoized in store."""
+    if r == 0:
+        return {0: 1}
+    key = (pairs, r)
+    got = store.get(key)
+    if got is None:
+        got = {}
+        for ea, ca in _packed_power(pairs, r - 1, width, store).items():
+            for s, c in pairs:
+                e = ea + (1 << s * width)
+                v = got.get(e, 0) + ca * c
+                if v:
+                    got[e] = v
+                else:
+                    del got[e]
+        store[key] = got
+    return got
+
+
+def _packed_eliminate(rows, terms) -> int:
+    """Rules i-iii on exponents packed into ints: the elimination kernel before
+    the squarefree one, with its expansion of the powers of L_v.
+
+    A key holds the exponent of x_{s+1} in bits [s*W, (s+1)*W) with
+    W = m.bit_length(); no exponent exceeds m, so no field carries.
+    """
+    m = len(rows)
+    width = m.bit_length()
+    cur = {sum(x << s * width for s, x in enumerate(e)): c for e, c in terms.items() if c}
+    store: dict = {}
+    for v in range(m - 1, 0, -1):
+        shift = v * width
+        low = (1 << shift) - 1
+        col = tuple((s, rows[s][v]) for s in range(v) if rows[s][v])
+        nxt: dict = {}
+        for e, c in cur.items():
+            r = e >> shift
+            if r == 0:
+                continue
+            base = e & low
+            for le, lc in _packed_power(col, r - 1, width, store).items():
+                key = base + le
+                val = nxt.get(key, 0) + c * lc
+                if val:
+                    nxt[key] = val
+                else:
+                    del nxt[key]
+        if not nxt:
+            return 0
+        cur = nxt
+    return cur.get(1 if m else 0, 0)
+
+
+def _random_monomial(rng, m, high):
+    """A degree-m exponent vector in m variables with one exponent >= high."""
+    e = [0] * m
+    e[rng.randrange(m)] = high
+    for _ in range(m - high):
+        e[rng.randrange(m)] += 1
+    return tuple(e)
+
+
+def _assert_operator_matches_packed(rows, exps, rng):
+    a = StructureMatrix(rows)
+    terms = {}
+    for e in exps:
+        terms[e] = terms.get(e, 0) + rng.choice([-5, -2, -1, 1, 3, 7])
+    for e, c in terms.items():
+        assert triangular_operator(a, {e: c}) == _packed_eliminate(rows, {e: c}), (rows, e)
+    assert triangular_operator(a, terms) == _packed_eliminate(rows, terms)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_operator_matches_packed_reference(m):
+    """Random strictly upper-triangular matrices, entries -3..3, some zero columns.
+
+    Above the diagonal an entry is drawn from -3..3 with probability 1/2 and
+    is 0 otherwise, which keeps the reference's power expansions small at
+    m = 12.
+    """
+    rng = random.Random(2000 + m)
+    for _ in range(6):
+        zero = set(rng.sample(range(m), m // 4))
+        rows = tuple(
+            tuple(rng.randint(-3, 3) if s < t and t not in zero and rng.random() < 0.5 else 0
+                  for t in range(m))
+            for s in range(m)
+        )
+        if m == 0:
+            _assert_operator_matches_packed(rows, [()], rng)
+            continue
+        exps = [(1,) * m, (0,) * (m - 1) + (m,)]
+        exps += [_random_monomial(rng, m, rng.randint(min(3, m), m)) for _ in range(8)]
+        _assert_operator_matches_packed(rows, exps, rng)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 70])
+def test_operator_matches_packed_reference_long_words(m):
+    """CP^m's top word, whose columns each hold one entry, with high exponents."""
+    rows = structure_matrix(builtin_cartan("A", m), tuple(range(m, 0, -1))).rows
+    rng = random.Random(3000 + m)
+    exps = [(0,) * (m - 1) + (m,), (m - 1,) + (0,) * (m - 2) + (1,)]
+    exps += [_random_monomial(rng, m, rng.randint(3, m)) for _ in range(6)]
+    _assert_operator_matches_packed(rows, exps, rng)
+
+
+@pytest.mark.parametrize("series, rank, k_set, bound, digest", [
+    ("G", 2, {1, 2}, None, "9fd8ae5cbfb30800b01401feb556cd5f9de4e1611d6875d7dcdcc19ffbbac7d2"),
+    ("B", 3, {1, 2, 3}, None, "3e6a0852b1fa76e5b7725a9bdcf339a45770cdafce080caf965f31dbce9ad318"),
+    ("C", 3, {1, 2, 3}, None, "138c899d487cb65b23564de354532602f1964ce45fa04e32968135e9565a6b6f"),
+    ("A", 4, {1, 2, 3, 4}, None, "47a22053dd48164118a4b99af026c44869fb80a1a03699291d906fead277b329"),
+    ("D", 4, {1, 2, 3, 4}, 8, "42d3513a384ae4229fd429ed9825aac37942b104df2549f2616e7e607535a44a"),
+    ("F", 4, {1}, None, "c1d632773b2c319125adecdb92949fa7416bca89ca60a9f7d1f87eebf46d3106"),
+    ("E", 6, {2}, 14, "c0cfce7581780ace48d9a1d51482c3cc0a13a4762ebafc96ffa87c1366b01564"),
+    ("B", 4, {3}, None, "d000607ce6f43dd0279d410abdb879f6e41bbe07a28fef8d9f0dccd64114ed60"),
+    ("A", 3, {2}, None, "b1c1486572f922ad7b6f3508cc1064054271f074d4ce2b09f497868a06d77037"),
+], ids=["G2-T", "B3-T", "C3-T", "A4-T", "D4-T@8", "F4-P1", "E6-P2@14", "B4-P3", "A3-P2"])
+def test_multiply_schubert_pinned(series, rank, k_set, bound, digest):
+    """SHA-256 of every product s_u * s_v (u no later than v, within the bound).
+
+    The digests were recorded with the packed-exponent elimination kernel.
+    """
+    table = enumerate_cosets(builtin_cartan(series, rank), k_set, bound)
+    top = table.top_length if bound is None else bound
+    entries = list(table.entries())
+    h = hashlib.sha256()
+    for n, u in enumerate(entries):
+        for v in entries[n:]:
+            if u.m + v.m <= top:
+                terms = multiply_schubert(table, u, v).terms
+                h.update(repr((u.m, u.i, v.m, v.i, terms)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_characteristic_identity_cases(g42):

@@ -444,3 +444,37 @@ def test_overlong_numbers_in_class_tokens(runner):
     result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
                                   "--classes", f"({big},1)"])
     assert result.exit_code == 2
+
+
+def test_spaces_inside_a_node_number_are_usage_error(runner):
+    # '--k 1 2' used to lose its space and become the single node 12
+    result = runner.invoke(main, ["decompose", "--group", "A12", "--k", "1 2",
+                                  "--max-len", "1"])
+    assert result.exit_code == 2
+    assert "'1 2'" in result.output
+    # spaces around a comma only pad the nodes
+    padded = runner.invoke(main, ["decompose", "--group", "A12", "--k", " 1 , 2 ",
+                                  "--max-len", "1"])
+    plain = runner.invoke(main, ["decompose", "--group", "A12", "--k", "1,2",
+                                 "--max-len", "1"])
+    assert padded.exit_code == plain.exit_code == 0
+    assert padded.output == plain.output == "w_{1,1} = [1]\nw_{1,2} = [2]\n"
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["schubpoly", "--group", "A3", "--k", "2", "--deg", "99999999"], ""),
+    (["present", "--group", "A3", "--k", "2", "--max-deg", "99999999"],
+     "generators:\n"
+     "  y1 = s_{1,1} [2]\n"
+     "  y2 = s_{2,1} [1, 2]\n"
+     "relations (complete through degree 99999999):\n"
+     "  degree 3: y1^3 - 2*y1*y2\n"
+     "  degree 4: y1^2*y2 - y2^2\n"),
+])
+def test_degree_bound_far_above_the_top(args, expected):
+    # both commands used to walk every degree up to the bound
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "flagcalc.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

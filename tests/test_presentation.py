@@ -195,6 +195,28 @@ def test_presentation_outputs_pinned(series, rank, bound):
     assert digests == _PINNED_OUTPUTS[series, rank, bound]
 
 
+@pytest.mark.parametrize("series,rank,k_set", [
+    ("A", 3, {2}), ("G", 2, {1, 2}), ("B", 3, {1, 2, 3}),
+])
+def test_relations_stable_above_the_top(series, rank, k_set):
+    """Bounds past the top degree add no relation and are reported as asked.
+
+    Above top + (largest generator degree) ``find_relations`` skips the
+    degrees, since every monomial there is already in the ideal; below it,
+    it still runs them.
+    """
+    table = enumerate_cosets(builtin_cartan(series, rank), k_set)
+    top = table.top_length
+    gens = find_generators(table, top)
+    expected = find_relations(table, gens, top).relations
+    for bound in range(top, top + 7):
+        assert find_generators(table, bound) == gens
+        pres = find_relations(table, gens, bound)
+        assert pres.bound == bound
+        assert pres.relations == expected
+        assert schubert_polynomials(table, gens, bound + 1) == []
+
+
 def test_relations_empty_below_first_kernel(cp3):
     gens = find_generators(cp3)
     pres = find_relations(cp3, gens, 3)
