@@ -48,7 +48,6 @@ _EXPORTS = {
         "partition_to_entry",
         "pieri",
     ),
-    "polyint": (),
     "presentation": (
         "GeneratorSet",
         "Presentation",

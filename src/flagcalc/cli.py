@@ -223,7 +223,17 @@ def _resolve_target(table: CosetTable, spec: str) -> CosetEntry:
     return _resolve_class(table, spec)
 
 
-@click.group()
+class _Main(click.Group):
+    """The top-level group: a domain error from any command goes to ``_fail``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FlagcalcError as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Exact Schubert calculus on flag manifolds from Cartan matrix data."""
@@ -235,10 +245,7 @@ def main() -> None:
               default="text")
 def decompose(group_label, cartan_file, k_spec, max_len, limit, fmt):
     """Enumerate minimal coset representatives with minimized words."""
-    try:
-        _echo_table(_load_table(group_label, cartan_file, k_spec, max_len, limit), fmt)
-    except FlagcalcError as exc:
-        _fail(exc)
+    _echo_table(_load_table(group_label, cartan_file, k_spec, max_len, limit), fmt)
 
 
 @main.command()
@@ -253,25 +260,22 @@ def char(group_label, cartan_file, k_spec, max_len, limit,
          w_spec, classes_spec, fmt):
     """Characteristic number of a Schubert-class monomial against a class."""
     from .characteristics import characteristic
-    try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-        w = _resolve_target(table, w_spec)
-        classes = parse_classes(table, classes_spec)
-        value = characteristic(table, w, classes)
-        if fmt == "json":
-            click.echo(json.dumps({
-                "schema": "characteristic/1",
-                "w": {"m": w.m, "i": w.i, "word": list(w.word)},
-                "classes": classes_spec,
-                "value": value,
-            }))
-        elif fmt == "csv":
-            click.echo("classes,value")
-            click.echo(f"\"{classes_spec}\",{value}")
-        else:
-            click.echo(f"{classes_spec} = {value}")
-    except FlagcalcError as exc:
-        _fail(exc)
+    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    w = _resolve_target(table, w_spec)
+    classes = parse_classes(table, classes_spec)
+    value = characteristic(table, w, classes)
+    if fmt == "json":
+        click.echo(json.dumps({
+            "schema": "characteristic/1",
+            "w": {"m": w.m, "i": w.i, "word": list(w.word)},
+            "classes": classes_spec,
+            "value": value,
+        }))
+    elif fmt == "csv":
+        click.echo("classes,value")
+        click.echo(f"\"{classes_spec}\",{value}")
+    else:
+        click.echo(f"{classes_spec} = {value}")
 
 
 @main.command()
@@ -284,33 +288,30 @@ def multiply(group_label, cartan_file, k_spec, max_len, limit,
              u_spec, v_spec, fmt):
     """Expand the product of two Schubert classes in the Schubert basis."""
     from .characteristics import multiply_schubert
-    try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-        u = _resolve_class(table, u_spec)
-        v = _resolve_class(table, v_spec)
-        expansion = multiply_schubert(table, u, v)
-        if fmt == "json":
-            terms = [
-                {"m": m, "i": i, "word": list(table.entry(m, i).word), "coef": c}
-                for (m, i), c in expansion.terms
-            ]
-            click.echo(json.dumps({
-                "schema": "expansion/1",
-                "degree": expansion.degree,
-                "terms": terms,
-            }))
-        elif fmt == "csv":
-            click.echo("m,i,coef")
-            for (m, i), c in expansion.terms:
-                click.echo(f"{m},{i},{c}")
-        else:
-            if not expansion.terms:
-                click.echo("0")
-            for (m, i), c in expansion.terms:
-                word = table.entry(m, i).word
-                click.echo(f"w_{{{m},{i}}} [{', '.join(map(str, word))}]: {c}")
-    except FlagcalcError as exc:
-        _fail(exc)
+    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    u = _resolve_class(table, u_spec)
+    v = _resolve_class(table, v_spec)
+    expansion = multiply_schubert(table, u, v)
+    if fmt == "json":
+        terms = [
+            {"m": m, "i": i, "word": list(table.entry(m, i).word), "coef": c}
+            for (m, i), c in expansion.terms
+        ]
+        click.echo(json.dumps({
+            "schema": "expansion/1",
+            "degree": expansion.degree,
+            "terms": terms,
+        }))
+    elif fmt == "csv":
+        click.echo("m,i,coef")
+        for (m, i), c in expansion.terms:
+            click.echo(f"{m},{i},{c}")
+    else:
+        if not expansion.terms:
+            click.echo("0")
+        for (m, i), c in expansion.terms:
+            word = table.entry(m, i).word
+            click.echo(f"w_{{{m},{i}}} [{', '.join(map(str, word))}]: {c}")
 
 
 def _poly_text(terms, names) -> str:
@@ -361,25 +362,22 @@ def _presentation_json(gens: GeneratorSet, relations, bound: int) -> dict:
 def present(group_label, cartan_file, k_spec, max_len, limit, max_deg, fmt):
     """Generators and relations of the intersection ring, degree-bounded."""
     from .presentation import find_generators, find_relations
-    try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-        bound = max_deg if max_deg is not None else table.top_length
-        gens = find_generators(table, bound)
-        pres = find_relations(table, gens, bound)
-        if fmt == "json":
-            click.echo(json.dumps(_presentation_json(gens, pres.relations, bound)))
-            return
-        names = gens.names()
-        click.echo("generators:")
-        for name, e in zip(names, gens.entries):
-            click.echo(f"  {name} = s_{{{e.m},{e.i}}} [{', '.join(map(str, e.word))}]")
-        click.echo(f"relations (complete through degree {bound}):")
-        if not pres.relations:
-            click.echo("  none")
-        for rel in pres.relations:
-            click.echo(f"  degree {rel.degree}: {_poly_text(rel.terms, names)}")
-    except FlagcalcError as exc:
-        _fail(exc)
+    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    bound = max_deg if max_deg is not None else table.top_length
+    gens = find_generators(table, bound)
+    pres = find_relations(table, gens, bound)
+    if fmt == "json":
+        click.echo(json.dumps(_presentation_json(gens, pres.relations, bound)))
+        return
+    names = gens.names()
+    click.echo("generators:")
+    for name, e in zip(names, gens.entries):
+        click.echo(f"  {name} = s_{{{e.m},{e.i}}} [{', '.join(map(str, e.word))}]")
+    click.echo(f"relations (complete through degree {bound}):")
+    if not pres.relations:
+        click.echo("  none")
+    for rel in pres.relations:
+        click.echo(f"  degree {rel.degree}: {_poly_text(rel.terms, names)}")
 
 
 @main.command()
@@ -389,30 +387,27 @@ def present(group_label, cartan_file, k_spec, max_len, limit, max_deg, fmt):
 def schubpoly(group_label, cartan_file, k_spec, max_len, limit, deg, fmt):
     """Schubert polynomials of every class in one degree."""
     from .presentation import find_generators, schubert_polynomials
-    try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-        gens = find_generators(table, deg)
-        polys = schubert_polynomials(table, gens, deg)
-        if fmt == "json":
-            click.echo(json.dumps({
-                "schema": "schubert-polynomials/1",
-                "degree": deg,
-                "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
-                "polynomials": [
-                    {
-                        "index": sp.index,
-                        "terms": [{"exps": list(exps), "coef": coef}
-                                  for exps, coef in sp.terms],
-                    }
-                    for sp in polys
-                ],
-            }))
-            return
-        names = gens.names()
-        for sp in polys:
-            click.echo(f"G_{{{deg},{sp.index}}} = {_poly_text(sp.terms, names)}")
-    except FlagcalcError as exc:
-        _fail(exc)
+    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    gens = find_generators(table, deg)
+    polys = schubert_polynomials(table, gens, deg)
+    if fmt == "json":
+        click.echo(json.dumps({
+            "schema": "schubert-polynomials/1",
+            "degree": deg,
+            "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
+            "polynomials": [
+                {
+                    "index": sp.index,
+                    "terms": [{"exps": list(exps), "coef": coef}
+                              for exps, coef in sp.terms],
+                }
+                for sp in polys
+            ],
+        }))
+        return
+    names = gens.names()
+    for sp in polys:
+        click.echo(f"G_{{{deg},{sp.index}}} = {_poly_text(sp.terms, names)}")
 
 
 @main.group()
@@ -433,10 +428,7 @@ def lr(lam, mu, nu):
             return tuple(int(x) for x in s.split(",") if x)
         except ValueError:
             raise click.UsageError(f"cannot parse partition {s!r}")
-    try:
-        click.echo(str(lr_coefficient(parse(lam), parse(mu), parse(nu))))
-    except FlagcalcError as exc:
-        _fail(exc)
+    click.echo(str(lr_coefficient(parse(lam), parse(mu), parse(nu))))
 
 
 @oracle.command()
@@ -445,30 +437,27 @@ def crosscheck(group_label, cartan_file, k_spec, max_len, limit):
     """Compare every pairwise product against the Littlewood-Richardson rule."""
     from .characteristics import multiply_schubert
     from .oracle import coset_to_partition, lr_coefficient
-    try:
-        table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-        entries = list(table.entries())
-        checked = 0
-        for a, u in enumerate(entries):
-            for v in entries[a:]:
-                if u.m + v.m > table.top_length:
-                    continue
-                expansion = multiply_schubert(table, u, v).as_dict()
-                lam, mu = coset_to_partition(table, u), coset_to_partition(table, v)
-                for w in table.layer(u.m + v.m):
-                    nu = coset_to_partition(table, w)
-                    expected = lr_coefficient(lam, mu, nu)
-                    got = expansion.get((w.m, w.i), 0)
-                    checked += 1
-                    if expected != got:
-                        click.echo(
-                            f"MISMATCH at {lam} * {mu} -> {nu}: "
-                            f"characteristic {got}, oracle {expected}"
-                        )
-                        sys.exit(1)
-        click.echo(f"PASS ({checked} coefficients compared)")
-    except FlagcalcError as exc:
-        _fail(exc)
+    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    entries = list(table.entries())
+    checked = 0
+    for a, u in enumerate(entries):
+        for v in entries[a:]:
+            if u.m + v.m > table.top_length:
+                continue
+            expansion = multiply_schubert(table, u, v).as_dict()
+            lam, mu = coset_to_partition(table, u), coset_to_partition(table, v)
+            for w in table.layer(u.m + v.m):
+                nu = coset_to_partition(table, w)
+                expected = lr_coefficient(lam, mu, nu)
+                got = expansion.get((w.m, w.i), 0)
+                checked += 1
+                if expected != got:
+                    click.echo(
+                        f"MISMATCH at {lam} * {mu} -> {nu}: "
+                        f"characteristic {got}, oracle {expected}"
+                    )
+                    sys.exit(1)
+    click.echo(f"PASS ({checked} coefficients compared)")
 
 
 @main.command()

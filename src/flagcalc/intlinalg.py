@@ -1,8 +1,13 @@
-"""Exact integer linear algebra: Smith and Hermite normal forms, lattices.
+"""Exact integer linear algebra: the Smith normal form and row lattices.
 
 Everything here works on lists of Python ints, so entries never overflow.
 Matrices are small throughout the package (monomial and Schubert bases per
-degree), which keeps the classical minimal-pivot algorithms comfortable.
+degree), which keeps the classical minimal-pivot algorithm comfortable.
+The Smith form is the package's one lattice algorithm: besides the
+diagonal and the transforms it answers whether a vector lies in the row
+lattice (``SNFResult.contains``) and whether the rows span ``Z^n``
+(``SNFResult.spans``).
+
 The Smith form's elimination updates only the matrix and logs its
 elementary operations; a unimodular transform is replayed from the log the
 first time a caller reads it, so unread transforms cost nothing.
@@ -90,6 +95,27 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
+
+    def contains(self, vec) -> bool:
+        """Whether vec lies in the row lattice {x @ M : x integer}.
+
+        M = P^-1 @ D @ Q^-1, so vec = x @ M exactly when y = vec @ Q equals
+        (x @ P^-1) @ D: d_j divides y_j for j < rank and y_j = 0 beyond.  A
+        form with no rows contains only 0.
+        """
+        if not self.d:
+            return not any(vec)
+        y = [0] * len(self.d[0])
+        for c, row in zip(vec, self.q):
+            if c:
+                y = [a + c * b for a, b in zip(y, row)]
+        rank = self.rank
+        return (all(y[j] % self.d[j][j] == 0 for j in range(rank))
+                and not any(y[rank:]))
+
+    def spans(self, cols: int) -> bool:
+        """Whether the rows of M span all of Z^cols: full rank, unit factors."""
+        return self.rank == cols and all(x == 1 for x in self.diagonal[:cols])
 
     @cached_property
     def p(self) -> list[list[int]]:
@@ -211,74 +237,3 @@ def integer_diagonalize(mat) -> tuple[list[list[int]], list[list[int]], list[lis
     """(P, D, Q) with P @ M @ Q = D in Smith normal form."""
     res = smith_normal_form(mat)
     return res.p, res.d, res.q
-
-
-def kernel_basis(mat) -> list[list[int]]:
-    """Basis of the left kernel {z : z @ M = 0} as rows."""
-    res = smith_normal_form(mat)
-    return [row[:] for row in res.p[res.rank:]]
-
-
-def hnf_rows(rows, cols: int | None = None) -> list[list[int]]:
-    """Canonical row-style Hermite normal form of the lattice spanned by rows.
-
-    Pivots are positive, entries above each pivot reduced to 0 <= x < pivot;
-    two row sets span the same lattice iff their forms are equal lists.
-    """
-    if cols is None:
-        cols = len(rows[0]) if rows else 0
-    work = [list(r) for r in rows if any(r)]
-    basis: list[list[int]] = []
-    for col in range(cols):
-        carrier = None
-        rest = []
-        for r in work:
-            if r[col]:
-                if carrier is None:
-                    carrier = r
-                else:
-                    a, b = carrier[col], r[col]
-                    while b:
-                        qq = a // b
-                        carrier, r = r, [x - qq * y for x, y in zip(carrier, r)]
-                        a, b = carrier[col], r[col]
-                    if any(r):
-                        rest.append(r)
-            else:
-                if any(r):
-                    rest.append(r)
-        if carrier is not None:
-            if carrier[col] < 0:
-                carrier = [-x for x in carrier]
-            basis.append(carrier)
-        work = rest
-    # reduce above pivots; ascending order so later steps cannot disturb
-    # columns already canonicalized (they only touch columns further right)
-    for idx in range(len(basis)):
-        pivot_col = next(c for c in range(cols) if basis[idx][c])
-        pv = basis[idx][pivot_col]
-        for up in range(idx):
-            k = basis[up][pivot_col] // pv
-            if k:
-                basis[up] = [a - k * b for a, b in zip(basis[up], basis[idx])]
-    return basis
-
-
-def lattice_contains(hnf_basis: list[list[int]], vec) -> bool:
-    """Membership of a vector in the row lattice given by its HNF basis."""
-    v = list(vec)
-    for row in hnf_basis:
-        pivot_col = next((c for c in range(len(row)) if row[c]), None)
-        if pivot_col is None:
-            continue
-        if v[pivot_col] % row[pivot_col]:
-            return False
-        k = v[pivot_col] // row[pivot_col]
-        if k:
-            v = [a - k * b for a, b in zip(v, row)]
-    return not any(v)
-
-
-def lattice_equal(rows_a, rows_b, cols: int) -> bool:
-    return hnf_rows(rows_a, cols) == hnf_rows(rows_b, cols)
-

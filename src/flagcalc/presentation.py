@@ -1,11 +1,14 @@
 """Ring presentations of H*(G/P) and Schubert polynomials.
 
-Everything is degree-by-degree integer lattice work.  The expansion matrix of
-degree m writes each monomial in the chosen generators as an integer vector
-over the Schubert basis of that degree (read from ``monomial_vector``);
-generators are grown until those vectors span the full lattice, relations are
-a degreewise-minimal generating set of the kernel, and Schubert polynomials
-come out of the Smith normal form of the expansion matrix.
+Everything is degree-by-degree integer lattice work, on one algorithm: the
+Smith normal form of ``intlinalg``.  The expansion matrix of degree m writes
+each monomial in the chosen generators as an integer vector over the
+Schubert basis of that degree (read from ``monomial_vector``).  Its Smith
+form decides which generators are chosen (a class is adjoined when its unit
+vector is not in the lattice of the rows), checks that they span the full
+lattice (``SNFResult.spans``), gives the kernel, in which the relations are
+a degreewise-minimal generating set, and inverts the matrix into the
+Schubert polynomials.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .characteristics import monomial_vector
 from .errors import NonSurjective, OutOfRange, TruncatedTable
-from .intlinalg import hnf_rows, integer_diagonalize, lattice_contains, smith_normal_form
+from .intlinalg import integer_diagonalize, smith_normal_form
 from .weyl import CosetEntry, CosetTable
 
 __all__ = [
@@ -51,19 +54,20 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class ExpansionMatrix:
-    """Rows: generator monomials of one degree; columns: Schubert classes."""
+    """Rows: generator monomials of one degree; columns: Schubert classes.
+
+    ``beta`` is the number of Schubert classes of the degree, also when no
+    monomial has that degree and there are no rows.
+    """
 
     degree: int
     monomials: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
+    beta: int
 
     @property
     def b(self) -> int:
         return len(self.monomials)
-
-    @property
-    def beta(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 @dataclass(frozen=True)
@@ -123,19 +127,22 @@ def expansion_matrix(table: CosetTable, gens: GeneratorSet, m: int) -> Expansion
         classes = [g for g, e in zip(gens.entries, exps) for _ in range(e)]
         vec = monomial_vector(table, classes)
         rows.append(tuple(vec.get((m, w.i), 0) for w in layer))
-    return ExpansionMatrix(m, monomials, tuple(rows))
+    return ExpansionMatrix(m, monomials, tuple(rows), len(layer))
 
 
 def find_generators(table: CosetTable, max_degree: int | None = None,
                     tie_break: str = "lowest") -> GeneratorSet:
     """Minimal special Schubert classes spanning every degree up to the bound.
 
-    Degree by degree, the images of the monomials in the generators found so
-    far are compared against the full Schubert lattice; while the map is not
-    onto, the first basis class (in index order) whose unit vector enlarges
-    the image lattice is adjoined.  ``tie_break="highest"`` scans indexes in
-    reverse; the per-degree generator count is invariant under that choice.
-    Any other ``tie_break`` raises OutOfRange.
+    Degree by degree, the Smith form of the expansion matrix in the
+    generators found so far tells whether their monomials span the Schubert
+    lattice.  While they do not, the basis classes are scanned in index
+    order and each one whose unit vector is not in the lattice of the rows
+    is adjoined, its unit vector appended and the Smith form taken again.
+    The lattice only grows, so a class passed over stays inside it and the
+    scan goes on from the next index.  ``tie_break="highest"`` scans
+    indexes in reverse; the per-degree generator count is invariant under
+    that choice.  Any other ``tie_break`` raises OutOfRange.
     """
     if tie_break not in ("lowest", "highest"):
         raise OutOfRange(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
@@ -149,23 +156,19 @@ def find_generators(table: CosetTable, max_degree: int | None = None,
     chosen: list[CosetEntry] = []
     # the layers above the top are empty and need no generator
     for m in range(1, min(max_degree, table.top_length) + 1):
-        beta = len(table.layer(m))
-        if beta == 0:
-            continue
-        gens = GeneratorSet(tuple(chosen))
-        rows = [list(r) for r in expansion_matrix(table, gens, m).rows]
-        full = [[1 if i == j else 0 for j in range(beta)] for i in range(beta)]
+        matrix = expansion_matrix(table, GeneratorSet(tuple(chosen)), m)
+        beta = matrix.beta
+        rows = matrix.rows
+        snf = smith_normal_form(rows)
         order = range(beta) if tie_break == "lowest" else range(beta - 1, -1, -1)
-        while True:
-            h = hnf_rows(rows, beta)
-            if h == full:
+        for i in order:
+            if snf.spans(beta):
                 break
-            for i in order:
-                unit = [1 if j == i else 0 for j in range(beta)]
-                if not lattice_contains(h, unit):
-                    chosen.append(table.entry(m, i + 1))
-                    rows.append(unit)
-                    break
+            unit = tuple(1 if j == i else 0 for j in range(beta))
+            if not snf.contains(unit):
+                chosen.append(table.entry(m, i + 1))
+                rows = (*rows, unit)
+                snf = smith_normal_form(rows)
     return GeneratorSet(tuple(chosen))
 
 
@@ -218,7 +221,8 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
     """Degreewise-minimal generating set of the relation ideal up to a bound.
 
     At each degree one Smith normal form P @ M @ Q = D of the expansion
-    matrix checks that the generators span the Schubert basis and gives the
+    matrix checks that the generators span the Schubert basis (a degree
+    with Schubert classes but no monomial is not spanned) and gives the
     kernel lattice (the trailing rows of P).  Each multiple z of a
     lower-degree relation is written in that basis as z @ P^-1, whose
     leading ``rank`` entries must vanish and whose trailing entries are its
@@ -239,17 +243,14 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
     # relation multiples span each such degree and nothing is adjoined
     last = min(max_degree, table.top_length + max(degrees, default=0))
     for m in range(1, last + 1):
-        beta = len(table.layer(m))
-        monomials = tuple(monomial_basis(degrees, m))
-        if not monomials:
-            continue
-        b = len(monomials)
-        index_of = {e: i for i, e in enumerate(monomials)}
         matrix = expansion_matrix(table, gens, m)
+        monomials = matrix.monomials
+        b = matrix.b
+        index_of = {e: i for i, e in enumerate(monomials)}
         # one SNF gives both the surjectivity check and the left kernel
         # (for beta == 0 it is P = I with rank 0: every monomial is a relation)
-        snf = smith_normal_form([list(r) for r in matrix.rows])
-        if snf.rank < beta or any(d not in (0, 1) for d in snf.diagonal):
+        snf = smith_normal_form(matrix.rows)
+        if not snf.spans(matrix.beta):
             raise NonSurjective(f"generators do not span the Schubert basis at degree {m}")
         rank = snf.rank
         kernel = snf.p[rank:]
@@ -296,12 +297,10 @@ def schubert_polynomials(table: CosetTable, gens: GeneratorSet, m: int) -> list[
     beta = matrix.beta
     if beta == 0:
         return []
-    if matrix.b == 0:
-        raise NonSurjective(f"no generator monomials in degree {m}")
-    p, d, q = integer_diagonalize([list(r) for r in matrix.rows])
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    if len([x for x in diag if x]) < beta or any(x not in (0, 1) for x in diag):
+    snf = smith_normal_form(matrix.rows)
+    if not snf.spans(beta):
         raise NonSurjective(f"expansion matrix not onto at degree {m}")
+    p, q = snf.p, snf.q
     # coefficients of the polynomials over the monomial basis: Q @ P[:beta]
     coeff = [_combine(zip(q[i], p), matrix.b) for i in range(beta)]
     out = []

@@ -20,13 +20,12 @@ from flagcalc import (
     simple_reflection,
     structure_matrix,
 )
-from flagcalc.intlinalg import lattice_equal, smith_normal_form
+from flagcalc.intlinalg import smith_normal_form
 from flagcalc.oracle import (
     borel_inverse_components,
     coset_to_partition,
     lr_coefficient,
 )
-from flagcalc.polyint import poly_mul
 from flagcalc.presentation import (
     expansion_matrix,
     find_generators,
@@ -37,7 +36,7 @@ from flagcalc.presentation import (
 )
 from flagcalc.weyl import identity_matrix, mat_mul
 
-from conftest import load_data
+from conftest import lattice_equal, load_data, poly_mul
 
 E6P2_GENERATOR_WORDS = [[2], [5, 4, 2], [6, 5, 4, 2], [1, 3, 6, 5, 4, 2]]
 

@@ -14,8 +14,9 @@ from flagcalc.characteristics import (
     multiply_schubert,
 )
 from flagcalc.errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
-from flagcalc.polyint import poly_mul
 from flagcalc.weyl import element_of_word
+
+from conftest import poly_mul
 
 
 def test_structure_matrices_g2():

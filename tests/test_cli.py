@@ -356,7 +356,7 @@ def test_package_exports_unchanged():
         "errors", "expansion_matrix", "find_generators", "find_relations",
         "generator_set_from_words", "integer_diagonalize", "intlinalg", "lr_coefficient",
         "multiply_schubert", "oracle", "parse_group_label", "partition_to_entry", "pieri",
-        "polyint", "presentation", "schubert_polynomials", "simple_reflection",
+        "presentation", "schubert_polynomials", "simple_reflection",
         "smith_normal_form", "structure_matrix", "top_element", "triangular_operator",
         "validate", "weyl",
     ]

@@ -1,14 +1,10 @@
 import random
 
 from flagcalc import builtin_cartan, enumerate_cosets, presentation
-from flagcalc.intlinalg import (
-    hnf_rows,
-    kernel_basis,
-    lattice_contains,
-    lattice_equal,
-    smith_normal_form,
-)
+from flagcalc.intlinalg import smith_normal_form
 from flagcalc.presentation import integer_diagonalize
+
+from conftest import hnf_rows, lattice_contains
 
 
 def int_det(a) -> int:
@@ -74,7 +70,7 @@ def test_snf_random_properties():
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else b == 0
-        for z in kernel_basis(m):
+        for z in res.p[res.rank:]:
             assert all(sum(z[k] * m[k][j] for k in range(rows)) == 0 for j in range(cols))
 
 
@@ -96,35 +92,97 @@ def test_snf_transforms_replay_in_any_order():
             assert all(getattr(res, name) is got[name] for name in names)
 
 
+def _same_lattice(rows_a, rows_b) -> bool:
+    """Equal row lattices: each side's rows are members of the other's form."""
+    a, b = smith_normal_form(rows_a), smith_normal_form(rows_b)
+    return all(b.contains(r) for r in rows_a) and all(a.contains(r) for r in rows_b)
+
+
 def test_lattice_membership_and_solve():
     rng = random.Random(7)
     for _ in range(150):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        h = hnf_rows(m, cols)
+        res = smith_normal_form(m)
         # several combinations, each a member of the lattice
         for _ in range(rng.randint(1, 4)):
             coeffs = [rng.randint(-3, 3) for _ in range(rows)]
             combo = [sum(coeffs[i] * m[i][j] for i in range(rows)) for j in range(cols)]
-            assert lattice_contains(h, combo)
+            assert res.contains(combo)
 
 
 def test_lattice_equality_canonical():
     a = [[2, 0], [0, 2]]
     b = [[2, 2], [2, 0], [4, 2]]
-    assert lattice_equal(a, b, 2)
-    assert not lattice_equal(a, [[1, 0], [0, 1]], 2)
-    assert not lattice_equal(a, [[2, 2], [2, -2]], 2)  # index-2 sublattice
-    assert hnf_rows([[3, 1], [0, 5]], 2) == hnf_rows([[3, 6], [3, 1], [0, 5]], 2)
+    assert _same_lattice(a, b)
+    assert not _same_lattice(a, [[1, 0], [0, 1]])
+    assert not _same_lattice(a, [[2, 2], [2, -2]])  # index-2 sublattice
+    assert _same_lattice([[3, 1], [0, 5]], [[3, 6], [3, 1], [0, 5]])
+    assert smith_normal_form([[1, 0], [0, 1]]).spans(2)
+    assert not smith_normal_form(a).spans(2)
+    assert not smith_normal_form(b).spans(2)
+    assert not smith_normal_form([[1, 0]]).spans(2)
 
 
 def test_non_member_detected():
-    assert not lattice_contains(hnf_rows([[2, 0], [0, 2]], 2), [1, 0])
-    h = hnf_rows([[2, 0, 1], [0, 3, 1]], 3)
-    assert lattice_contains(h, [4, -3, 1])
-    assert not lattice_contains(h, [2, 1, 0])
-    assert lattice_contains(h, [0, 0, 0])
+    assert not smith_normal_form([[2, 0], [0, 2]]).contains([1, 0])
+    res = smith_normal_form([[2, 0, 1], [0, 3, 1]])
+    assert res.contains([4, -3, 1])
+    assert not res.contains([2, 1, 0])
+    assert res.contains([0, 0, 0])
+
+
+def test_empty_forms():
+    # no rows: only 0 is a member, and only Z^0 is spanned
+    empty = smith_normal_form([])
+    assert empty.contains([0, 0, 0]) and not empty.contains([0, 1, 0])
+    assert empty.spans(0) and not empty.spans(1)
+    # rows of width 0 span Z^0
+    flat = smith_normal_form([[], []])
+    assert flat.contains([]) and flat.spans(0)
+    zero = smith_normal_form([[0, 0], [0, 0]])
+    assert zero.contains([0, 0]) and not zero.contains([0, 1])
+    assert not zero.spans(2)
+
+
+def test_contains_matches_hnf_reference():
+    # SNFResult.contains against the Hermite normal form of the same rows,
+    # with members (combinations of the rows) and probable non-members
+    # (random vectors, unit vectors, a row plus one)
+    rng = random.Random(4242)
+    mats = [[], [[0, 0, 0]], [[0, 0], [0, 0]], [[6, 10], [15, 0]], [[2, 4], [4, 8]]]
+    for _ in range(400):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        scale = rng.choice([1, 1, 2, 3, 6])  # 2, 3 and 6 force pivots above 1
+        m = [[scale * rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:  # a rank-deficient matrix: one row repeats another
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+        if rng.random() < 0.3:
+            zero = rng.randrange(cols)
+            for r in m:
+                r[zero] = 0
+        mats.append(m)
+    members = non_members = 0
+    for m in mats:
+        cols = len(m[0]) if m else 3
+        res = smith_normal_form(m)
+        h = hnf_rows(m, cols)
+        probes = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(3)]
+        probes += [[int(j == i) for j in range(cols)] for i in range(cols)]
+        for _ in range(3):
+            coeffs = [rng.randint(-3, 3) for _ in m]
+            probes.append([sum(c * r[j] for c, r in zip(coeffs, m)) for j in range(cols)])
+        if m:
+            probes.append([a + 1 for a in m[0]])
+        for vec in probes:
+            expected = lattice_contains(h, vec)
+            assert res.contains(vec) == expected, (m, vec)
+            members += expected
+            non_members += not expected
+        assert res.spans(cols) == (h == [[int(i == j) for j in range(cols)]
+                                         for i in range(cols)])
+    assert members > 1000 and non_members > 1000
 
 
 # ---------------------------------------------------------------------------

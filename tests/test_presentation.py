@@ -4,7 +4,6 @@ import pytest
 
 from flagcalc import builtin_cartan, enumerate_cosets
 from flagcalc.errors import NonSurjective, OutOfRange
-from flagcalc.intlinalg import lattice_equal
 from flagcalc.oracle import borel_inverse_components
 from flagcalc.presentation import (
     GeneratorSet,
@@ -15,6 +14,8 @@ from flagcalc.presentation import (
     monomial_basis,
     schubert_polynomials,
 )
+
+from conftest import lattice_equal, poly_mul
 
 
 def test_monomial_basis_order_and_counts():
@@ -71,6 +72,49 @@ def test_find_generators_e6p2_degrees(e6p2):
     assert list(gens.entries[3].word) == [1, 3, 6, 5, 4, 2]
 
 
+# The words find_generators chooses under each tie-break, recorded with the
+# implementation that grew a Hermite normal form after every adjoined class.
+# (series, rank, K -- "T" for all nodes --, bound -- None for the top degree)
+_PINNED_GENERATORS = {
+    ("B", 3, "T", 9): (((1,), (2,), (3,)),
+                       ((3,), (2,), (1,))),
+    ("A", 4, "T", 10): (((1,), (2,), (3,), (4,)),
+                        ((4,), (3,), (2,), (1,))),
+    ("E", 6, 2, 16): (((2,), (3, 4, 2), (1, 3, 4, 2), (1, 3, 6, 5, 4, 2)),
+                      ((2,), (5, 4, 2), (6, 5, 4, 2), (4, 3, 6, 5, 4, 2))),
+    ("G", 2, "T", None): (((1,), (2,), (1, 2, 1)),
+                          ((2,), (1,), (2, 1, 2))),
+    ("C", 3, "T", 9): (((1,), (2,), (3,), (1, 2, 3)),
+                       ((3,), (2,), (1,), (3, 2, 3))),
+    ("D", 4, "T", 8): (((1,), (2,), (3,), (4,), (1, 2, 3)),
+                       ((4,), (3,), (2,), (1,), (4, 2, 3))),
+    ("F", 4, 1, 15): (((1,), (2, 3, 2, 1)),
+                      ((1,), (4, 3, 2, 1))),
+    ("A", 5, 2, 8): (((2,), (1, 2)),
+                     ((2,), (3, 2))),
+    ("A", 8, 4, 20): (((4,), (3, 4), (2, 3, 4), (1, 2, 3, 4)),
+                      ((4,), (5, 4), (6, 5, 4), (7, 6, 5, 4))),
+    ("B", 4, 3, 12): (((3,), (2, 3), (1, 2, 3)),
+                      ((3,), (4, 3), (3, 4, 3))),
+    ("A", 3, 2, None): (((2,), (1, 2)),
+                        ((2,), (3, 2))),
+    ("E", 7, 7, 12): (((7,), (2, 4, 5, 6, 7), (1, 5, 4, 2, 3, 4, 5, 6, 7)),
+                      ((7,), (3, 4, 5, 6, 7), (6, 5, 4, 2, 3, 4, 5, 6, 7))),
+    ("C", 4, 2, 12): (((2,), (1, 2), (4, 3, 2), (1, 4, 3, 2)),
+                      ((2,), (3, 2), (4, 3, 2), (3, 4, 3, 2))),
+}
+
+
+@pytest.mark.parametrize("series,rank,k,bound", list(_PINNED_GENERATORS))
+def test_generator_words_pinned(series, rank, k, bound):
+    k_set = set(range(1, rank + 1)) if k == "T" else {k}
+    pinned = _PINNED_GENERATORS[series, rank, k, bound]
+    for tie_break, expected in zip(("lowest", "highest"), pinned):
+        table = enumerate_cosets(builtin_cartan(series, rank), k_set)
+        gens = find_generators(table, bound, tie_break=tie_break)
+        assert tuple(e.word for e in gens.entries) == expected, tie_break
+
+
 def test_generator_count_invariant_under_tie_break(g42, e6p2):
     for table, bound in ((g42, 4), (e6p2, 6)):
         low = find_generators(table, bound, tie_break="lowest")
@@ -118,14 +162,6 @@ def _poly_add(a, b, sign=1):
     return {e: c for e, c in out.items() if c}
 
 
-def _poly_mul(a, b):
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            out = _poly_add(out, {tuple(x + y for x, y in zip(ea, eb)): ca * cb})
-    return out
-
-
 def _borel_ideal(gens, n):
     """[(j, e_j(x)) for j = 2..n] with x_k = y_k - y_{k-1}, y_0 = y_n = 0.
 
@@ -143,7 +179,7 @@ def _borel_ideal(gens, n):
         x_k = _poly_add(y(k), y(k - 1), -1)
         elementary = [
             _poly_add(elementary[j] if j < k else {},
-                      _poly_mul(x_k, elementary[j - 1]) if j else {})
+                      poly_mul(x_k, elementary[j - 1]) if j else {})
             for j in range(k + 1)]
     return [(j, elementary[j]) for j in range(2, n + 1)]
 
@@ -232,6 +268,28 @@ def test_relations_need_surjective_generators(g42):
         find_relations(g42, only_c1, 4)
 
 
+def test_relations_refuse_a_degree_without_monomials(g42, e6p2):
+    # generators of degrees 3, 4 and 6 have no monomial in degrees 1 and 2,
+    # where E6/P2 has Schubert classes: not a presentation
+    no_y1 = generator_set_from_words(e6p2, [[5, 4, 2], [6, 5, 4, 2], [1, 3, 6, 5, 4, 2]])
+    with pytest.raises(NonSurjective):
+        find_relations(e6p2, no_y1, 2)
+    with pytest.raises(NonSurjective):
+        find_relations(g42, GeneratorSet(()), 4)
+    # no degree to check: nothing to refuse
+    assert find_relations(g42, GeneratorSet(()), 0).relations == ()
+
+
+def test_expansion_matrix_width_without_monomials(g42):
+    # beta is the number of Schubert classes of the degree, rows or not
+    none = GeneratorSet(())
+    matrix = expansion_matrix(g42, none, 1)
+    assert (matrix.rows, matrix.b, matrix.beta) == ((), 0, 1)
+    assert expansion_matrix(g42, none, 2).beta == 2
+    # above the top the layer is empty
+    assert expansion_matrix(g42, none, 5).beta == 0
+
+
 def test_schubert_polynomials_degree_one(g42):
     gens = find_generators(g42)
     polys = schubert_polynomials(g42, gens, 1)
@@ -267,6 +325,16 @@ def test_schubert_polynomials_nonsurjective(g42):
         schubert_polynomials(g42, only_c1, 2)
 
 
+def test_schubert_polynomials_refuse_a_degree_without_monomials(g42, e6p2):
+    with pytest.raises(NonSurjective):
+        schubert_polynomials(g42, GeneratorSet(()), 1)
+    no_y1 = generator_set_from_words(e6p2, [[5, 4, 2], [6, 5, 4, 2], [1, 3, 6, 5, 4, 2]])
+    with pytest.raises(NonSurjective):
+        schubert_polynomials(e6p2, no_y1, 2)
+    # the empty layers above the top need no polynomial
+    assert schubert_polynomials(g42, GeneratorSet(()), 5) == []
+
+
 def test_negative_degree_refused(g42):
     gens = find_generators(g42)
     with pytest.raises(OutOfRange):
@@ -287,3 +355,9 @@ def test_generator_set_from_words(e6p2):
         e6p2, [[2], [5, 4, 2], [6, 5, 4, 2], [1, 3, 6, 5, 4, 2]])
     assert gens.degrees == (1, 3, 4, 6)
     assert gens.names() == ("y1", "y2", "y3", "y4")
+
+
+def test_poly_mul_basic():
+    a = {(1, 0): 1, (0, 1): 1}
+    assert poly_mul(a, a) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert poly_mul(a, {}) == {}
