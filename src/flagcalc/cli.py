@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .errors import DegreeMismatch, FlagcalcError, ResourceLimit
+from .errors import DegreeMismatch, FlagcalcError, OutOfRange, ResourceLimit
 
 if TYPE_CHECKING:
     from .cartan import CartanMatrix
@@ -388,6 +388,8 @@ def schubpoly(group_label, cartan_file, k_spec, max_len, limit, deg, fmt):
     """Schubert polynomials of every class in one degree."""
     from .presentation import find_generators, schubert_polynomials
     table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    if deg < 0:
+        raise OutOfRange(f"--deg must be nonnegative, got {deg}")
     gens = find_generators(table, deg)
     polys = schubert_polynomials(table, gens, deg)
     if fmt == "json":

@@ -9,6 +9,11 @@ vector is not in the lattice of the rows), checks that they span the full
 lattice (``SNFResult.spans``), gives the kernel, in which the relations are
 a degreewise-minimal generating set, and inverts the matrix into the
 Schubert polynomials.
+
+The three steps read one record per degree: the expansion matrix in a given
+generator set and its Smith form, memoized on the table (``_degree``), so
+the transforms replayed by one step are there for the next.  Readers share
+the record and must not mutate it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 from .characteristics import monomial_vector
 from .errors import NonSurjective, OutOfRange, TruncatedTable
-from .intlinalg import integer_diagonalize, smith_normal_form
+from .intlinalg import SNFResult, integer_diagonalize, smith_normal_form
 from .weyl import CosetEntry, CosetTable
 
 __all__ = [
@@ -130,6 +135,16 @@ def expansion_matrix(table: CosetTable, gens: GeneratorSet, m: int) -> Expansion
     return ExpansionMatrix(m, monomials, tuple(rows), len(layer))
 
 
+def _degree(table: CosetTable, gens: GeneratorSet, m: int) -> tuple[ExpansionMatrix, SNFResult]:
+    """The expansion matrix of degree m in ``gens`` and its Smith form, memoized."""
+    key = (gens.entries, m)
+    record = table._degrees.get(key)
+    if record is None:
+        matrix = expansion_matrix(table, gens, m)
+        record = table._degrees[key] = (matrix, smith_normal_form(matrix.rows))
+    return record
+
+
 def find_generators(table: CosetTable, max_degree: int | None = None,
                     tie_break: str = "lowest") -> GeneratorSet:
     """Minimal special Schubert classes spanning every degree up to the bound.
@@ -138,7 +153,8 @@ def find_generators(table: CosetTable, max_degree: int | None = None,
     generators found so far tells whether their monomials span the Schubert
     lattice.  While they do not, the basis classes are scanned in index
     order and each one whose unit vector is not in the lattice of the rows
-    is adjoined, its unit vector appended and the Smith form taken again.
+    is adjoined, its unit vector appended and the Smith form taken again
+    (only the first form of a degree is the table's degree record).
     The lattice only grows, so a class passed over stays inside it and the
     scan goes on from the next index.  ``tie_break="highest"`` scans
     indexes in reverse; the per-degree generator count is invariant under
@@ -156,10 +172,9 @@ def find_generators(table: CosetTable, max_degree: int | None = None,
     chosen: list[CosetEntry] = []
     # the layers above the top are empty and need no generator
     for m in range(1, min(max_degree, table.top_length) + 1):
-        matrix = expansion_matrix(table, GeneratorSet(tuple(chosen)), m)
+        matrix, snf = _degree(table, GeneratorSet(tuple(chosen)), m)
         beta = matrix.beta
         rows = matrix.rows
-        snf = smith_normal_form(rows)
         order = range(beta) if tie_break == "lowest" else range(beta - 1, -1, -1)
         for i in order:
             if snf.spans(beta):
@@ -243,13 +258,12 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
     # relation multiples span each such degree and nothing is adjoined
     last = min(max_degree, table.top_length + max(degrees, default=0))
     for m in range(1, last + 1):
-        matrix = expansion_matrix(table, gens, m)
+        # one SNF gives both the surjectivity check and the left kernel
+        # (for beta == 0 it is P = I with rank 0: every monomial is a relation)
+        matrix, snf = _degree(table, gens, m)
         monomials = matrix.monomials
         b = matrix.b
         index_of = {e: i for i, e in enumerate(monomials)}
-        # one SNF gives both the surjectivity check and the left kernel
-        # (for beta == 0 it is P = I with rank 0: every monomial is a relation)
-        snf = smith_normal_form(matrix.rows)
         if not snf.spans(matrix.beta):
             raise NonSurjective(f"generators do not span the Schubert basis at degree {m}")
         rank = snf.rank
@@ -293,11 +307,10 @@ def schubert_polynomials(table: CosetTable, gens: GeneratorSet, m: int) -> list[
     """One polynomial per degree-m Schubert class, verified by re-expansion."""
     if table.complete and m > table.top_length:
         return []  # an empty layer; its monomial basis may be huge
-    matrix = expansion_matrix(table, gens, m)
+    matrix, snf = _degree(table, gens, m)
     beta = matrix.beta
     if beta == 0:
         return []
-    snf = smith_normal_form(matrix.rows)
     if not snf.spans(beta):
         raise NonSurjective(f"expansion matrix not onto at degree {m}")
     p, q = snf.p, snf.q

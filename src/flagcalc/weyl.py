@@ -133,16 +133,30 @@ class CosetTable:
         self._layer_vectors: list[list[tuple[int, ...]]] | None = None
         # memos of characteristics.py: per target word (and per ancestor of
         # one) its factor masks and columns; two-factor rows per unordered
-        # pair of classes; vectors per sorted monomial
+        # pair of classes; vectors per sorted monomial.  Memo of
+        # presentation.py: (expansion matrix, Smith form) per (generator
+        # entries, degree)
         self._char_cache: dict = {}
         self._rows: dict = {}
         self._vectors: dict = {}
+        self._degrees: dict = {}
 
     def clear_caches(self) -> None:
         """Empty the memos that queries fill; later queries rebuild them."""
         self._char_cache.clear()
         self._rows.clear()
         self._vectors.clear()
+        self._degrees.clear()
+
+    def memo_sizes(self) -> dict[str, int]:
+        """Entry counts of the memos that queries fill (see ``clear_caches``)."""
+        return {
+            "target_words": len(self._char_cache),
+            "mask_entries": sum(len(memo["masks"]) for memo in self._char_cache.values()),
+            "pair_rows": len(self._rows),
+            "monomial_vectors": len(self._vectors),
+            "degree_records": len(self._degrees),
+        }
 
     @property
     def complete(self) -> bool:

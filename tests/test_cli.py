@@ -95,6 +95,13 @@ def test_negative_degree_exits_one(runner, args):
     assert "relations" not in result.output
 
 
+def test_schubpoly_negative_degree_names_the_option(runner):
+    result = runner.invoke(main, ["schubpoly", "--group", "A3", "--k", "2", "--deg", "-1"])
+    assert result.exit_code == 1
+    assert "error: OutOfRange: --deg must be nonnegative, got -1" in result.output
+    assert "max_degree" not in result.output
+
+
 def test_decompose_csv(runner):
     result = runner.invoke(main, ["decompose", "--group", "A3", "--k", "2",
                                   "--format", "csv"])

@@ -231,6 +231,71 @@ def test_presentation_outputs_pinned(series, rank, bound):
     assert digests == _PINNED_OUTPUTS[series, rank, bound]
 
 
+def _relations_and_polynomials(table, gens, bound):
+    rels = find_relations(table, gens, bound).relations
+    polys = [schubert_polynomials(table, gens, m) for m in range(bound + 1)]
+    return rels, polys
+
+
+_E6P2_WORDS = [[2], [5, 4, 2], [6, 5, 4, 2], [1, 3, 6, 5, 4, 2]]
+
+
+@pytest.mark.parametrize("series,rank,k_set,bound,choice", [
+    ("B", 3, {1, 2, 3}, 9, "lowest"),
+    ("B", 3, {1, 2, 3}, 9, "highest"),
+    ("A", 4, {1, 2, 3, 4}, 8, "lowest"),
+    ("A", 4, {1, 2, 3, 4}, 8, "highest"),
+    ("E", 6, {2}, 12, "lowest"),
+    ("E", 6, {2}, 12, "highest"),
+    ("E", 6, {2}, 12, _E6P2_WORDS),
+])
+def test_degree_records_do_not_show_in_outputs(series, rank, k_set, bound, choice):
+    """The per-degree records that the three steps share change no output.
+
+    A table warmed by find_generators gives what a fresh one gives; a second
+    call gives the same again, so no reader has mutated a shared record;
+    clear_caches() drops the records and a rebuild gives the same once more.
+    """
+    cartan = builtin_cartan(series, rank)
+    warm = enumerate_cosets(cartan, k_set)
+    if isinstance(choice, str):
+        gens = find_generators(warm, bound, tie_break=choice)
+    else:
+        find_generators(warm, bound)
+        gens = generator_set_from_words(warm, choice)
+    first = _relations_and_polynomials(warm, gens, bound)
+    assert first == _relations_and_polynomials(enumerate_cosets(cartan, k_set), gens, bound)
+    assert _relations_and_polynomials(warm, gens, bound) == first
+    if isinstance(choice, str):
+        assert find_generators(warm, bound, tie_break=choice) == gens
+    assert warm._degrees
+    warm.clear_caches()
+    assert warm._degrees == {}
+    assert _relations_and_polynomials(warm, gens, bound) == first
+
+
+def test_memo_sizes_pinned():
+    """Memo entry counts after a fixed query sequence on A3/T.
+
+    find_generators leaves a record for degree 1 in no generators and one
+    for each of degrees 2-4 in all three; find_relations through degree 4
+    adds only degree 1 in all three, schubert_polynomials at degree 5 one
+    more record.
+    """
+    table = enumerate_cosets(builtin_cartan("A", 3), {1, 2, 3})
+    sizes = ("target_words", "mask_entries", "pair_rows", "monomial_vectors",
+             "degree_records")
+    assert table.memo_sizes() == dict.fromkeys(sizes, 0)
+    gens = find_generators(table, 4)
+    assert table.memo_sizes() == dict(zip(sizes, (19, 119, 25, 31, 4)))
+    find_relations(table, gens, 4)
+    assert table.memo_sizes() == dict(zip(sizes, (19, 119, 25, 31, 5)))
+    schubert_polynomials(table, gens, 5)
+    assert table.memo_sizes() == dict(zip(sizes, (22, 143, 32, 52, 6)))
+    table.clear_caches()
+    assert table.memo_sizes() == dict.fromkeys(sizes, 0)
+
+
 @pytest.mark.parametrize("series,rank,k_set", [
     ("A", 3, {2}), ("G", 2, {1, 2}), ("B", 3, {1, 2, 3}),
 ])
