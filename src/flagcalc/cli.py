@@ -13,52 +13,31 @@ what its command needs.
 
 from __future__ import annotations
 
-import csv as _csv
-import io
+import argparse
 import json
+import os
 import re
-import shlex
 import sys
 from typing import TYPE_CHECKING
-
-import click
 
 from . import __version__
 from .errors import DegreeMismatch, FlagcalcError, OutOfRange, ResourceLimit
 
 if TYPE_CHECKING:
-    from .cartan import CartanMatrix
-    from .presentation import GeneratorSet
     from .weyl import CosetEntry, CosetTable
 
 
-def _fail(exc: FlagcalcError) -> None:
-    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-    sys.exit(3 if isinstance(exc, ResourceLimit) else 1)
+class _Usage(Exception):
+    """A usage error; ``main`` prints it under ``exc.parser``'s usage."""
 
 
-def group_options(f):
-    f = click.option("--group", "group_label", metavar="NAME",
-                     help="Builtin group, e.g. A8, E6, G2.")(f)
-    f = click.option("--cartan-file", type=click.Path(exists=True, dir_okay=False),
-                     help="JSON file {\"rank\": n, \"entries\": [[...]]} .")(f)
-    f = click.option("--k", "k_spec", metavar="K", required=True,
-                     help="Parabolic subset: comma-separated nodes, or 'all'.")(f)
-    f = click.option("--max-len", type=int, default=None,
-                     help="Truncate the coset table at this length.")(f)
-    f = click.option("--limit", type=int, default=None,
-                     help="Refuse enumerations beyond this many cosets.")(f)
-    return f
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise ``_Usage``."""
 
-
-def _resolve_cartan(group_label, cartan_file) -> CartanMatrix:
-    if (group_label is None) == (cartan_file is None):
-        raise click.UsageError("provide exactly one of --group or --cartan-file")
-    from .cartan import from_json, parse_group_label
-    if group_label is not None:
-        return parse_group_label(group_label)
-    with open(cartan_file) as fh:
-        return from_json(json.load(fh))
+    def error(self, message):
+        exc = _Usage(message)
+        exc.parser = self
+        raise exc
 
 
 def _resolve_k(k_spec: str, rank: int) -> frozenset[int]:
@@ -71,53 +50,22 @@ def _resolve_k(k_spec: str, rank: int) -> frozenset[int]:
             raise ValueError
         return frozenset(int(x[0]) for x in nodes)
     except ValueError:
-        raise click.UsageError(f"cannot parse K specifier {k_spec!r}")
+        raise _Usage(f"cannot parse K specifier {k_spec!r}")
 
 
-def _load_table(group_label, cartan_file, k_spec, max_len, limit) -> CosetTable:
+def _load_table(a: argparse.Namespace) -> CosetTable:
+    from .cartan import from_json, parse_group_label
     from .weyl import enumerate_cosets
-    cartan = _resolve_cartan(group_label, cartan_file)
-    k_set = _resolve_k(k_spec, cartan.rank)
-    kwargs = {} if limit is None else {"limit": limit}
-    return enumerate_cosets(cartan, k_set, max_len, **kwargs)
-
-
-def _echo_table(table: CosetTable, fmt: str) -> None:
-    """Write a coset table one layer at a time.
-
-    json is the ``coset-table/1`` document exactly as ``json.dumps`` prints
-    it, and csv exactly what ``csv.writer`` writes, built without holding a
-    dict per entry.
-    """
-    if fmt == "json":
-        head = json.dumps({
-            "schema": "coset-table/1",
-            "group": table.cartan.label or table.cartan.to_json(),
-            "cartan": table.cartan.to_json(),
-            "K": sorted(table.k_set),
-            "max_length": table.max_length,
-        })
-        click.echo(head[:-1] + ', "entries": [', nl=False)
-        sep = ""
-        for layer in table.layers:
-            click.echo(sep + ", ".join(
-                f'{{"m": {e.m}, "i": {e.i}, "word": [{", ".join(map(str, e.word))}]}}'
-                for e in layer), nl=False)
-            sep = ", "
-        click.echo("]}")
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = _csv.writer(buf)
-        writer.writerow(["m", "i", "word"])
-        for layer in table.layers:
-            writer.writerows((e.m, e.i, " ".join(map(str, e.word))) for e in layer)
-            click.echo(buf.getvalue(), nl=False)
-            buf.seek(0)
-            buf.truncate()
+    if a.group is not None:
+        cartan = parse_group_label(a.group)
+    elif not (os.path.isfile(a.cartan_file) and os.access(a.cartan_file, os.R_OK)):
+        raise _Usage(f"--cartan-file {a.cartan_file!r} is not a readable file")
     else:
-        for layer in table.layers[1:]:
-            click.echo("\n".join(f"w_{{{e.m},{e.i}}} = [{', '.join(map(str, e.word))}]"
-                                  for e in layer))
+        with open(a.cartan_file) as fh:
+            cartan = from_json(json.load(fh))
+    k_set = _resolve_k(a.k, cartan.rank)
+    kwargs = {} if a.limit is None else {"limit": a.limit}
+    return enumerate_cosets(cartan, k_set, a.max_len, **kwargs)
 
 
 _TOKEN_RE = re.compile(
@@ -143,7 +91,7 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
             continue
         match = _TOKEN_RE.match(rest, pos)
         if not match:
-            raise click.UsageError(f"cannot parse class specifier at {rest[pos:]!r}")
+            raise _Usage(f"cannot parse class specifier at {rest[pos:]!r}")
         entry = _resolve_class(table, match.group(1))
         # a power with more digits than the longest length + 1 reads as
         # that length + 1, which the degree check refuses all the same; so
@@ -160,7 +108,7 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
         out.extend([entry] * (power if entry.m else min(power, 1)))
         pos = match.end()
     if not out:
-        raise click.UsageError("empty class specifier")
+        raise _Usage("empty class specifier")
     return out
 
 
@@ -169,7 +117,7 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise click.UsageError(
+        raise _Usage(
             f"a number of {len(text.strip())} digits in a class specifier is too long")
 
 
@@ -177,34 +125,34 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
     """One class from a single token of ``parse_classes``' grammar, unpowered."""
     match = _TOKEN_RE.fullmatch(token.strip())
     if not match:
-        raise click.UsageError(f"cannot parse class {token!r}")
+        raise _Usage(f"cannot parse class {token!r}")
     if match.group(2):
-        raise click.UsageError(f"{token!r} is a power; a single class is expected")
+        raise _Usage(f"{token!r} is a power; a single class is expected")
     token = match.group(1)
     if token.startswith("c"):
         r = _int(token[1:])
         if len(table.k_set) != 1:
-            raise click.UsageError("c<r> shorthand needs a singleton K")
+            raise _Usage("c<r> shorthand needs a singleton K")
         k = next(iter(table.k_set))
         if not 1 <= r <= k:
-            raise click.UsageError(f"c{r} outside 1..{k}")
+            raise _Usage(f"c{r} outside 1..{k}")
         return table.lookup_word(tuple(range(k - r + 1, k + 1)))
     if token.startswith("y"):
         from .presentation import find_generators
         d = _int(token[1:])
         if d < 1:
-            raise click.UsageError(f"y{d}: generators are numbered from 1")
+            raise _Usage(f"y{d}: generators are numbered from 1")
         bound = table.top_length if table.complete else table.max_length
         for md in range(1, bound + 1):
             gens = find_generators(table, md)
             if len(gens) >= d:
                 return gens.entries[d - 1]
-        raise click.UsageError(f"table has fewer than {d} generators")
+        raise _Usage(f"table has fewer than {d} generators")
     if token.startswith("["):
         # letters are comma separated; spaces may pad a letter, not split one
         letters = [x.split() for x in token[1:-1].split(",")]
         if any(len(x) > 1 for x in letters):
-            raise click.UsageError(f"cannot parse word {token!r}: separate letters by commas")
+            raise _Usage(f"cannot parse word {token!r}: separate letters by commas")
         return table.lookup_word([_int(x[0]) for x in letters if x])
     if token.startswith("part:"):
         from .oracle import partition_to_entry
@@ -214,104 +162,92 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
     return table.entry(m, i)
 
 
-def _resolve_target(table: CosetTable, spec: str) -> CosetEntry:
-    spec = spec.strip()
-    if spec == "top":
-        from .weyl import top_element
-        word, length = top_element(table)
-        return table.entry(length, 1)
-    return _resolve_class(table, spec)
-
-
-class _Main(click.Group):
-    """The top-level group: a domain error from any command goes to ``_fail``."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except FlagcalcError as exc:
-            _fail(exc)
-
-
-@click.group(cls=_Main)
-@click.version_option(__version__)
-def main() -> None:
-    """Exact Schubert calculus on flag manifolds from Cartan matrix data."""
-
-
-@main.command()
-@group_options
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text")
-def decompose(group_label, cartan_file, k_spec, max_len, limit, fmt):
+def decompose(a: argparse.Namespace) -> None:
     """Enumerate minimal coset representatives with minimized words."""
-    _echo_table(_load_table(group_label, cartan_file, k_spec, max_len, limit), fmt)
+    # one layer at a time: json is the coset-table/1 document exactly as
+    # json.dumps prints it, csv exactly what csv.writer writes, and neither
+    # holds a dict per entry
+    table = _load_table(a)
+    if a.format == "json":
+        head = json.dumps({
+            "schema": "coset-table/1",
+            "group": table.cartan.label or table.cartan.to_json(),
+            "cartan": table.cartan.to_json(),
+            "K": sorted(table.k_set),
+            "max_length": table.max_length,
+        })
+        sys.stdout.write(head[:-1] + ', "entries": [')
+        sep = ""
+        for layer in table.layers:
+            sys.stdout.write(sep + ", ".join(
+                f'{{"m": {e.m}, "i": {e.i}, "word": [{", ".join(map(str, e.word))}]}}'
+                for e in layer))
+            sep = ", "
+        print("]}")
+    elif a.format == "csv":
+        import csv
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["m", "i", "word"])
+        for layer in table.layers:
+            writer.writerows((e.m, e.i, " ".join(map(str, e.word))) for e in layer)
+    else:
+        for layer in table.layers[1:]:
+            print("\n".join(f"w_{{{e.m},{e.i}}} = [{', '.join(map(str, e.word))}]"
+                             for e in layer))
 
 
-@main.command()
-@group_options
-@click.option("--w", "w_spec", default="top", metavar="CLASS",
-              help="Target class: top, (m,i), [word], c<r>, y<d>.")
-@click.option("--classes", "classes_spec", required=True, metavar="MONOMIAL",
-              help="Whitespace-separated class factors, e.g. \"c1^3 c2^2\".")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text")
-def char(group_label, cartan_file, k_spec, max_len, limit,
-         w_spec, classes_spec, fmt):
+def char(a: argparse.Namespace) -> None:
     """Characteristic number of a Schubert-class monomial against a class."""
     from .characteristics import characteristic
-    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-    w = _resolve_target(table, w_spec)
-    classes = parse_classes(table, classes_spec)
+    table = _load_table(a)
+    if a.w.strip() == "top":
+        from .weyl import top_element
+        w = table.entry(top_element(table)[1], 1)
+    else:
+        w = _resolve_class(table, a.w)
+    classes = parse_classes(table, a.classes)
     value = characteristic(table, w, classes)
-    if fmt == "json":
-        click.echo(json.dumps({
+    if a.format == "json":
+        print(json.dumps({
             "schema": "characteristic/1",
             "w": {"m": w.m, "i": w.i, "word": list(w.word)},
-            "classes": classes_spec,
+            "classes": a.classes,
             "value": value,
         }))
-    elif fmt == "csv":
-        click.echo("classes,value")
-        click.echo(f"\"{classes_spec}\",{value}")
+    elif a.format == "csv":
+        print("classes,value")
+        print(f"\"{a.classes}\",{value}")
     else:
-        click.echo(f"{classes_spec} = {value}")
+        print(f"{a.classes} = {value}")
 
 
-@main.command()
-@group_options
-@click.option("--u", "u_spec", required=True, metavar="CLASS")
-@click.option("--v", "v_spec", required=True, metavar="CLASS")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text")
-def multiply(group_label, cartan_file, k_spec, max_len, limit,
-             u_spec, v_spec, fmt):
+def multiply(a: argparse.Namespace) -> None:
     """Expand the product of two Schubert classes in the Schubert basis."""
     from .characteristics import multiply_schubert
-    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-    u = _resolve_class(table, u_spec)
-    v = _resolve_class(table, v_spec)
+    table = _load_table(a)
+    u = _resolve_class(table, a.u)
+    v = _resolve_class(table, a.v)
     expansion = multiply_schubert(table, u, v)
-    if fmt == "json":
+    if a.format == "json":
         terms = [
             {"m": m, "i": i, "word": list(table.entry(m, i).word), "coef": c}
             for (m, i), c in expansion.terms
         ]
-        click.echo(json.dumps({
+        print(json.dumps({
             "schema": "expansion/1",
             "degree": expansion.degree,
             "terms": terms,
         }))
-    elif fmt == "csv":
-        click.echo("m,i,coef")
+    elif a.format == "csv":
+        print("m,i,coef")
         for (m, i), c in expansion.terms:
-            click.echo(f"{m},{i},{c}")
+            print(f"{m},{i},{c}")
     else:
         if not expansion.terms:
-            click.echo("0")
+            print("0")
         for (m, i), c in expansion.terms:
             word = table.entry(m, i).word
-            click.echo(f"w_{{{m},{i}}} [{', '.join(map(str, word))}]: {c}")
+            print(f"w_{{{m},{i}}} [{', '.join(map(str, word))}]: {c}")
 
 
 def _poly_text(terms, names) -> str:
@@ -339,61 +275,51 @@ def _poly_text(terms, names) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
-def _presentation_json(gens: GeneratorSet, relations, bound: int) -> dict:
-    return {
-        "schema": "presentation/1",
-        "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
-        "relations": [
-            {
-                "degree": rel.degree,
-                "terms": [{"exps": list(exps), "coef": coef} for exps, coef in rel.terms],
-            }
-            for rel in relations
-        ],
-        "bound": bound,
-    }
-
-
-@main.command()
-@group_options
-@click.option("--max-deg", type=int, default=None,
-              help="Certify the presentation up to this degree (default: top).")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def present(group_label, cartan_file, k_spec, max_len, limit, max_deg, fmt):
+def present(a: argparse.Namespace) -> None:
     """Generators and relations of the intersection ring, degree-bounded."""
     from .presentation import find_generators, find_relations
-    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
-    bound = max_deg if max_deg is not None else table.top_length
+    table = _load_table(a)
+    if a.max_deg is not None and a.max_deg < 0:
+        raise OutOfRange(f"--max-deg must be nonnegative, got {a.max_deg}")
+    bound = a.max_deg if a.max_deg is not None else table.top_length
     gens = find_generators(table, bound)
     pres = find_relations(table, gens, bound)
-    if fmt == "json":
-        click.echo(json.dumps(_presentation_json(gens, pres.relations, bound)))
+    if a.format == "json":
+        print(json.dumps({
+            "schema": "presentation/1",
+            "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
+            "relations": [
+                {
+                    "degree": rel.degree,
+                    "terms": [{"exps": list(exps), "coef": coef} for exps, coef in rel.terms],
+                }
+                for rel in pres.relations
+            ],
+            "bound": bound,
+        }))
         return
     names = gens.names()
-    click.echo("generators:")
+    print("generators:")
     for name, e in zip(names, gens.entries):
-        click.echo(f"  {name} = s_{{{e.m},{e.i}}} [{', '.join(map(str, e.word))}]")
-    click.echo(f"relations (complete through degree {bound}):")
+        print(f"  {name} = s_{{{e.m},{e.i}}} [{', '.join(map(str, e.word))}]")
+    print(f"relations (complete through degree {bound}):")
     if not pres.relations:
-        click.echo("  none")
+        print("  none")
     for rel in pres.relations:
-        click.echo(f"  degree {rel.degree}: {_poly_text(rel.terms, names)}")
+        print(f"  degree {rel.degree}: {_poly_text(rel.terms, names)}")
 
 
-@main.command()
-@group_options
-@click.option("--deg", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def schubpoly(group_label, cartan_file, k_spec, max_len, limit, deg, fmt):
+def schubpoly(a: argparse.Namespace) -> None:
     """Schubert polynomials of every class in one degree."""
     from .presentation import find_generators, schubert_polynomials
-    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    table = _load_table(a)
+    deg = a.deg
     if deg < 0:
         raise OutOfRange(f"--deg must be nonnegative, got {deg}")
     gens = find_generators(table, deg)
     polys = schubert_polynomials(table, gens, deg)
-    if fmt == "json":
-        click.echo(json.dumps({
+    if a.format == "json":
+        print(json.dumps({
             "schema": "schubert-polynomials/1",
             "degree": deg,
             "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
@@ -409,19 +335,10 @@ def schubpoly(group_label, cartan_file, k_spec, max_len, limit, deg, fmt):
         return
     names = gens.names()
     for sp in polys:
-        click.echo(f"G_{{{deg},{sp.index}}} = {_poly_text(sp.terms, names)}")
+        print(f"G_{{{deg},{sp.index}}} = {_poly_text(sp.terms, names)}")
 
 
-@main.group()
-def oracle() -> None:
-    """Independent type-A validation tools."""
-
-
-@oracle.command()
-@click.option("--lam", required=True, metavar="PARTS")
-@click.option("--mu", required=True, metavar="PARTS")
-@click.option("--nu", required=True, metavar="PARTS")
-def lr(lam, mu, nu):
+def lr(a: argparse.Namespace) -> None:
     """Littlewood-Richardson coefficient by brute tableau enumeration."""
     from .oracle import lr_coefficient
 
@@ -429,21 +346,19 @@ def lr(lam, mu, nu):
         try:
             return tuple(int(x) for x in s.split(",") if x)
         except ValueError:
-            raise click.UsageError(f"cannot parse partition {s!r}")
-    click.echo(str(lr_coefficient(parse(lam), parse(mu), parse(nu))))
+            raise _Usage(f"cannot parse partition {s!r}")
+    print(lr_coefficient(parse(a.lam), parse(a.mu), parse(a.nu)))
 
 
-@oracle.command()
-@group_options
-def crosscheck(group_label, cartan_file, k_spec, max_len, limit):
+def crosscheck(a: argparse.Namespace) -> None:
     """Compare every pairwise product against the Littlewood-Richardson rule."""
     from .characteristics import multiply_schubert
     from .oracle import coset_to_partition, lr_coefficient
-    table = _load_table(group_label, cartan_file, k_spec, max_len, limit)
+    table = _load_table(a)
     entries = list(table.entries())
     checked = 0
-    for a, u in enumerate(entries):
-        for v in entries[a:]:
+    for idx, u in enumerate(entries):
+        for v in entries[idx:]:
             if u.m + v.m > table.top_length:
                 continue
             expansion = multiply_schubert(table, u, v).as_dict()
@@ -454,30 +369,112 @@ def crosscheck(group_label, cartan_file, k_spec, max_len, limit):
                 got = expansion.get((w.m, w.i), 0)
                 checked += 1
                 if expected != got:
-                    click.echo(
+                    print(
                         f"MISMATCH at {lam} * {mu} -> {nu}: "
                         f"characteristic {got}, oracle {expected}"
                     )
                     sys.exit(1)
-    click.echo(f"PASS ({checked} coefficients compared)")
+    print(f"PASS ({checked} coefficients compared)")
 
 
-@main.command()
-def batch():
+def batch(a: argparse.Namespace) -> None:
     """Run one query per stdin line (char, multiply, oracle lr), one line out."""
+    import shlex
     failures = 0
     for line in sys.stdin:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            main.main(args=shlex.split(line), standalone_mode=False)
-        except (FlagcalcError, click.ClickException, SystemExit) as exc:
-            if isinstance(exc, SystemExit) and not exc.code:
-                continue
-            failures += 1
-            click.echo(f"error: {exc}")
+            _run(a.top, shlex.split(line))
+        except (_Usage, SystemExit) as exc:
+            if not isinstance(exc, SystemExit) or exc.code:
+                failures += 1
+                print(f"error: {exc}")
+        # each answer leaves at once, for a caller that waits for it
+        sys.stdout.flush()
     sys.exit(1 if failures else 0)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The command line: one subcommand per function above."""
+    table = _Parser(add_help=False)
+    source = table.add_mutually_exclusive_group(required=True)
+    source.add_argument("--group", metavar="NAME", help="Builtin group, e.g. A8, E6, G2.")
+    source.add_argument("--cartan-file", metavar="FILE",
+                        help='JSON file {"rank": n, "entries": [[...]]} .')
+    table.add_argument("--k", required=True, metavar="K",
+                       help="Parabolic subset: comma-separated nodes, or 'all'.")
+    table.add_argument("--max-len", type=int, metavar="INTEGER",
+                       help="Truncate the coset table at this length.")
+    table.add_argument("--limit", type=int, metavar="INTEGER",
+                       help="Refuse enumerations beyond this many cosets.")
+
+    # no parser takes an abbreviated option: --form is not --format
+    def command(group, func, *formats, parents=(table,)):
+        p = group.add_parser(func.__name__, parents=parents, help=func.__doc__,
+                             description=func.__doc__, allow_abbrev=False)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(run=func, parser=p)
+        return p
+
+    top = _Parser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    top.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    command(commands, decompose, "text", "json", "csv")
+    p = command(commands, char, "text", "json", "csv")
+    p.add_argument("--w", default="top", metavar="CLASS",
+                   help="Target class: top, (m,i), [word], c<r>, y<d>.")
+    p.add_argument("--classes", required=True, metavar="MONOMIAL",
+                   help='Whitespace-separated class factors, e.g. "c1^3 c2^2".')
+    p = command(commands, multiply, "text", "json", "csv")
+    p.add_argument("--u", required=True, metavar="CLASS")
+    p.add_argument("--v", required=True, metavar="CLASS")
+    p = command(commands, present, "text", "json")
+    p.add_argument("--max-deg", type=int, metavar="INTEGER",
+                   help="Certify the presentation up to this degree (default: top).")
+    p = command(commands, schubpoly, "text", "json")
+    p.add_argument("--deg", type=int, required=True, metavar="INTEGER")
+    doc = "Independent type-A validation tools."
+    tools = commands.add_parser("oracle", help=doc, description=doc, allow_abbrev=False)
+    tools = tools.add_subparsers(metavar="COMMAND", required=True)
+    p = command(tools, lr, parents=())
+    for name in ("--lam", "--mu", "--nu"):
+        p.add_argument(name, required=True, metavar="PARTS")
+    command(tools, crosscheck)
+    command(commands, batch, parents=()).set_defaults(top=top)
+    return top
+
+
+def _run(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Parse one command line and run it; a domain error exits 1 or 3."""
+    a = parser.parse_args(argv)
+    try:
+        a.run(a)
+    except _Usage as exc:
+        exc.parser = a.parser
+        raise
+    except FlagcalcError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(3 if isinstance(exc, ResourceLimit) else 1)
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Exact Schubert calculus on flag manifolds from Cartan matrix data."""
+    parser = _parser(prog_name or "flagcalc")
+    try:
+        _run(parser, sys.argv[1:] if args is None else list(args))
+        sys.stdout.flush()
+    except _Usage as exc:
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): end quietly, like a filter
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
+import io
 import json
 import pathlib
+import sys
+from dataclasses import dataclass
 
 import pytest
 
@@ -97,6 +100,59 @@ def poly_mul(a: dict, b: dict) -> dict:
             else:
                 del out[e]
     return out
+
+
+# ---------------------------------------------------------------------------
+# An in-process CLI runner: ``CliRunner().invoke(main, args, input=...)``
+# runs ``main`` with stdin, stdout and stderr swapped for memory buffers and
+# returns what it wrote and how it exited.
+# ---------------------------------------------------------------------------
+
+
+class _Capture(io.StringIO):
+    """One stream's buffer; every write also goes to the shared output."""
+
+    def __init__(self, output: io.StringIO):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in the order written
+    exception: BaseException | None
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+
+class CliRunner:
+    def invoke(self, main, args=(), input: str | None = None) -> CliResult:
+        output = io.StringIO()
+        out, err = _Capture(output), _Capture(output)
+        saved = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), out, err
+        exception = None
+        try:
+            main(args=list(args))
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exception, exit_code = exc, 1
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = saved
+        return CliResult(exit_code, out.getvalue(), err.getvalue(), output.getvalue(),
+                         exception)
 
 
 @pytest.fixture(scope="session")

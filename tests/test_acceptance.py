@@ -386,7 +386,7 @@ def test_criterion_2_e6p2_table(e6p2):
     elapsed = time.time() - t0
     assert elapsed < 600, f"full table took {elapsed:.0f}s (target 300s, envelope 2x)"
     # end-to-end through the CLI, on a cold table
-    from click.testing import CliRunner
+    from conftest import CliRunner
 
     from flagcalc.cli import main as cli_main
 

@@ -7,14 +7,13 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import flagcalc
 from flagcalc import builtin_cartan, enumerate_cosets
 from flagcalc.cartan import from_json
 from flagcalc.cli import main
 
-from conftest import load_data
+from conftest import CliRunner, load_data
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -100,6 +99,13 @@ def test_schubpoly_negative_degree_names_the_option(runner):
     assert result.exit_code == 1
     assert "error: OutOfRange: --deg must be nonnegative, got -1" in result.output
     assert "max_degree" not in result.output
+
+
+def test_present_negative_degree_names_the_option(runner):
+    result = runner.invoke(main, ["present", "--group", "A3", "--k", "2", "--max-deg", "-3"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: OutOfRange: --max-deg must be nonnegative, got -3\n"
+    assert result.stdout == ""
 
 
 def test_decompose_csv(runner):
@@ -262,6 +268,65 @@ def test_usage_errors_exit_two(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["decompose", "--group", "A3"],
+    ["decompose", "--group", "A3", "--k", "2", "--format", "xml"],
+    ["decompose", "--group", "A3", "--k", "2", "--form", "json"],
+    ["decompose", "--group", "A3", "--k", "2", "--max-len", "x"],
+    ["decompose", "--group", "A3", "--k", "2", "--limit", "x"],
+    ["schubpoly", "--group", "A3", "--k", "2", "--deg", "x"],
+    ["frobnicate"],
+    ["oracle", "frobnicate"],
+    [],
+])
+def test_parser_usage_errors_exit_two(runner, args):
+    # the wording is free; the exit code, an empty stdout and no traceback are not
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_cartan_file_must_be_a_readable_file(runner, tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        result = runner.invoke(main, ["decompose", "--cartan-file", str(path), "--k", "1"])
+        assert result.exit_code == 2, (path, result.output)
+        assert result.stdout == ""
+        assert isinstance(result.exception, SystemExit)
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout == "flagcalc, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("cmd", [
+    [], ["decompose"], ["char"], ["multiply"], ["present"], ["schubpoly"],
+    ["oracle"], ["oracle", "lr"], ["oracle", "crosscheck"], ["batch"],
+])
+def test_every_command_has_help(runner, cmd):
+    result = runner.invoke(main, [*cmd, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout and not result.stderr
+
+
+def test_batch_usage_error_is_one_line_and_later_lines_run(runner):
+    lines = "\n".join([
+        "char --group A3 --k 2 --w top --classes c2^2",
+        "char --group A3 --k 2 --classes c2^2 --format xml",
+        "decompose --k 2",
+        "oracle lr --lam 1 --mu 1 --nu 2",
+    ])
+    result = runner.invoke(main, ["batch"], input=lines + "\n")
+    assert result.exit_code == 1
+    out = result.stdout.splitlines()
+    assert len(out) == 4, out
+    assert out[0] == "c2^2 = 1" and out[3] == "1"
+    assert out[1].startswith("error: ") and out[2].startswith("error: ")
+
+
 def test_resource_limit_exits_three(runner):
     result = runner.invoke(main, ["decompose", "--group", "A4", "--k", "all",
                                   "--limit", "10"])
@@ -349,6 +414,29 @@ def test_cold_commands_load_only_their_modules(args):
     loaded = set(proc.stderr.split())
     assert "flagcalc.weyl" in loaded
     assert not loaded & {"flagcalc.presentation", "flagcalc.intlinalg", "flagcalc.oracle"}
+
+
+@pytest.mark.parametrize("args, absent", [
+    (["--version"], {"click"}),
+    (["char", "--group", "A8", "--k", "4", "--w", "top", "--classes", "c4^5"],
+     {"click", "csv", "shlex"}),
+])
+def test_cold_commands_skip_unused_imports(args, absent):
+    code = (
+        "import sys\n"
+        "from flagcalc.cli import main\n"
+        "try:\n"
+        "    main(args=sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() in ("flagcalc, version 0.1.0", "c4^5 = 1")
+    assert not set(proc.stderr.split()) & absent
 
 
 def test_package_exports_unchanged():
