@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cartan": ("CartanMatrix", "builtin_cartan", "parse_group_label", "validate"),
     "characteristics": (
-        "GradedIntPolynomial",
         "SchubertExpansion",
         "StructureMatrix",
         "characteristic",

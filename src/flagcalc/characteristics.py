@@ -54,74 +54,27 @@ class StructureMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """Entries a_{s,j} for s < j (1-based j): the elimination form for x_j."""
-        return tuple(self.rows[s][j - 1] for s in range(j - 1))
-
 
 def structure_matrix(cartan: CartanMatrix, word) -> StructureMatrix:
-    """A_w with a_{s,t} = -c[i_s][i_t] above the diagonal, zero elsewhere."""
+    """A_w as dense rows: the entries of ``_sparse_columns``, zero elsewhere."""
     word = tuple(word)
     n = cartan.rank
     for g in word:
         if not 1 <= g <= n:
             raise IndexOutOfRange(f"letter {g} outside 1..{n}")
-    m = len(word)
-    rows = tuple(
-        tuple(-cartan.c(word[s], word[t]) if s < t else 0 for t in range(m))
-        for s in range(m)
-    )
-    return StructureMatrix(rows)
-
-
-class GradedIntPolynomial:
-    """Homogeneous integer polynomial, sparse over exponent tuples."""
-
-    __slots__ = ("num_vars", "degree", "terms")
-
-    def __init__(self, num_vars: int, terms: dict):
-        clean = {}
-        degree = None
-        for exps, coef in terms.items():
-            if coef == 0:
-                continue
-            exps = tuple(exps)
-            if len(exps) != num_vars or any(e < 0 for e in exps):
-                raise DegreeMismatch(f"bad exponent vector {exps} for {num_vars} variables")
-            d = sum(exps)
-            if degree is None:
-                degree = d
-            elif d != degree:
-                raise DegreeMismatch("terms do not share one total degree")
-            clean[exps] = clean.get(exps, 0) + coef
-        self.num_vars = num_vars
-        self.degree = degree
-        self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def squarefree(cls, num_vars: int, positions) -> "GradedIntPolynomial":
-        """Monomial x_I for a 1-based position set I."""
-        e = [0] * num_vars
-        for p in positions:
-            e[p - 1] = 1
-        return cls(num_vars, {tuple(e): 1})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedIntPolynomial)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"GradedIntPolynomial({self.num_vars}, {self.terms!r})"
+    rows = [[0] * len(word) for _ in word]
+    for t, column in enumerate(_sparse_columns(cartan, word)):
+        for s, x in column:
+            rows[s][t] = x
+    return StructureMatrix(tuple(map(tuple, rows)))
 
 
 def triangular_operator(a: StructureMatrix, h) -> int:
     """Evaluate the elimination functional on an expanded polynomial.
 
-    ``h`` is a GradedIntPolynomial (or a raw exponent dict) of degree m in
-    m variables where m = a.size; anything else is a DegreeMismatch.
+    ``h`` is an exponent dict {exps: coef} of degree m in m variables where
+    m = a.size; anything else is a DegreeMismatch.  Only the entries of
+    ``a.rows`` above the diagonal are read.
 
     Rules i-iii are the definition, and they compute the coefficient of
     x_1...x_m in the squarefree basis of the Bott-Samelson ring
@@ -144,20 +97,13 @@ def triangular_operator(a: StructureMatrix, h) -> int:
     that hole (then only that hole may still be filled).
     """
     m = a.size
-    if isinstance(h, GradedIntPolynomial):
-        if h.num_vars != m:
-            raise DegreeMismatch(f"polynomial has {h.num_vars} variables, matrix size {m}")
-        if h.degree is not None and h.degree != m:
-            raise DegreeMismatch(f"degree {h.degree} != matrix size {m}")
-        terms = h.terms
-    else:
-        terms = {}
-        for e, c in h.items():
-            e = tuple(e)
-            if len(e) != m or sum(e) != m or min(e, default=0) < 0:
-                raise DegreeMismatch(f"term {e} is not degree {m} in {m} variables")
-            if c:
-                terms[e] = terms.get(e, 0) + c
+    terms = {}
+    for e, c in h.items():
+        e = tuple(e)
+        if len(e) != m or sum(e) != m or min(e, default=0) < 0:
+            raise DegreeMismatch(f"term {e} is not degree {m} in {m} variables")
+        if c:
+            terms[e] = terms.get(e, 0) + c
     # {descending multipliers: {support: coefficient}}
     groups: dict = {}
     for e, c in terms.items():
@@ -165,7 +111,8 @@ def triangular_operator(a: StructureMatrix, h) -> int:
         mults = tuple(d for d in range(m - 1, -1, -1) for _ in range(e[d] - 1))
         states = groups.setdefault(mults, {})
         states[support] = states.get(support, 0) + c
-    columns = [tuple((s, x) for s, x in enumerate(a.column(v + 1)) if x) for v in range(m)]
+    rows = a.rows
+    columns = [tuple((s, rows[s][t]) for s in range(t) if rows[s][t]) for t in range(m)]
     full = (1 << m) - 1
     return sum(_top_coefficient(states, mults, columns, full)
                for mults, states in groups.items())
@@ -335,6 +282,8 @@ def _sparse_columns(cartan: CartanMatrix, word: tuple[int, ...]) -> list:
     a_{s+1,t+1} = -c[i_{s+1}][i_{t+1}], so position s adds an entry only to
     the later columns whose letter is a nonzero column of row i_{s+1}; the
     columns are filled forward from ``nonzero_rows``, one pair per entry.
+    This is the one place the entry convention is written: the engine reads
+    these columns, and ``structure_matrix`` scatters them into dense rows.
     """
     nonzero = cartan.nonzero_rows
     pending: list[list[tuple[int, int]]] = [[] for _ in range(cartan.rank)]

@@ -386,7 +386,11 @@ def batch(a: argparse.Namespace) -> None:
         if not line or line.startswith("#"):
             continue
         try:
-            _run(a.top, shlex.split(line))
+            try:
+                argv = shlex.split(line)
+            except ValueError as exc:  # e.g. an unclosed quote
+                raise _Usage(exc)
+            _run(a.top, argv)
         except (_Usage, SystemExit) as exc:
             if not isinstance(exc, SystemExit) or exc.code:
                 failures += 1

@@ -22,22 +22,8 @@ from dataclasses import dataclass
 
 from .characteristics import monomial_vector
 from .errors import NonSurjective, OutOfRange, TruncatedTable
-from .intlinalg import SNFResult, integer_diagonalize, smith_normal_form
+from .intlinalg import SNFResult, smith_normal_form
 from .weyl import CosetEntry, CosetTable
-
-__all__ = [
-    "GeneratorSet",
-    "ExpansionMatrix",
-    "Relation",
-    "Presentation",
-    "SchubertPolynomial",
-    "monomial_basis",
-    "expansion_matrix",
-    "find_generators",
-    "find_relations",
-    "schubert_polynomials",
-    "integer_diagonalize",
-]
 
 
 @dataclass(frozen=True)

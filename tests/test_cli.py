@@ -327,6 +327,14 @@ def test_batch_usage_error_is_one_line_and_later_lines_run(runner):
     assert out[1].startswith("error: ") and out[2].startswith("error: ")
 
 
+def test_batch_unclosed_quote_is_one_error_line(runner):
+    lines = 'char --group A3 --k 2 --classes "c2^2\noracle lr --lam 1 --mu 1 --nu 2\n'
+    result = runner.invoke(main, ["batch"], input=lines)
+    assert result.exit_code == 1
+    assert result.stdout == "error: No closing quotation\n1\n"
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_resource_limit_exits_three(runner):
     result = runner.invoke(main, ["decompose", "--group", "A4", "--k", "all",
                                   "--limit", "10"])
@@ -442,7 +450,7 @@ def test_cold_commands_skip_unused_imports(args, absent):
 def test_package_exports_unchanged():
     assert sorted(flagcalc.__all__) == [
         "CartanMatrix", "CosetEntry", "CosetTable", "DegreeMismatch", "EmptyK",
-        "FlagcalcError", "GeneratorSet", "GradedIntPolynomial", "IndexOutOfRange",
+        "FlagcalcError", "GeneratorSet", "IndexOutOfRange",
         "InvalidSeriesRank", "NonSurjective", "NotCartan", "NotFound", "NotSingletonK",
         "NotTypeA", "OutOfRange", "Presentation", "ResourceLimit", "SchubertExpansion",
         "SchubertPolynomial", "StructureMatrix", "TruncatedTable",

@@ -1,8 +1,7 @@
 import random
 
 from flagcalc import builtin_cartan, enumerate_cosets, presentation
-from flagcalc.intlinalg import smith_normal_form
-from flagcalc.presentation import integer_diagonalize
+from flagcalc.intlinalg import integer_diagonalize, smith_normal_form
 
 from conftest import hnf_rows, lattice_contains
 
