@@ -39,7 +39,7 @@ _EXPORTS = {
         "ResourceLimit",
         "TruncatedTable",
     ),
-    "intlinalg": ("integer_diagonalize", "smith_normal_form"),
+    "intlinalg": ("smith_normal_form",),
     "oracle": (
         "borel_inverse_components",
         "coset_to_partition",

@@ -88,11 +88,6 @@ class CartanMatrix:
     def to_json(self) -> dict:
         return {"rank": self.rank, "entries": [list(r) for r in self.entries]}
 
-    def __str__(self) -> str:
-        if self.label:
-            return self.label
-        return "Cartan(rank=%d)" % self.rank
-
 
 def validate(entries) -> CartanMatrix:
     """Check the Cartan matrix invariants, returning the validated value.

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CartanMatrix
-from .errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
+from .errors import DegreeMismatch, IndexOutOfRange
 from .weyl import CosetEntry, CosetTable, _apply_gen_vec
 
 
@@ -213,7 +213,7 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     by_vector = table._by_vector
     # walk down to the first ancestor whose masks are known or of length l(u)
     chain = [(w, cache)]
-    node, vec = w, table.vector(w)
+    node, vec = w, w.vector
     while True:
         vec = _apply_gen_vec(cartan, node.word[0], vec)
         node = by_vector[vec]
@@ -227,7 +227,7 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
         chain.append((node, node_cache))
     # and back up, each word's masks from its parent's
     parent = node
-    uvec = table.vector(u)
+    uvec = u.vector
     for node, node_cache in reversed(chain):
         g = node.word[0]
         out = [x << 1 for x in got]
@@ -353,16 +353,9 @@ def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
         )
     if w.m == 0:
         return 1
-    if not table.complete and w.m > table.max_length:
-        raise TruncatedTable(f"target length {w.m} beyond max_length={table.max_length}")
     return monomial_vector(table, classes).get((w.m, w.i), 0)
 
 
 def multiply_schubert(table: CosetTable, u: CosetEntry, v: CosetEntry) -> SchubertExpansion:
     """Full expansion s_u * s_v = sum of c^w_{u,v} s_w over length l(u)+l(v)."""
-    degree = u.m + v.m
-    if not table.complete and degree > table.max_length:
-        raise TruncatedTable(
-            f"product degree {degree} beyond max_length={table.max_length}"
-        )
-    return SchubertExpansion(degree, tuple(sorted(_row(table, u, v).items())))
+    return SchubertExpansion(u.m + v.m, tuple(sorted(_row(table, u, v).items())))

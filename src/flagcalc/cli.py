@@ -142,8 +142,7 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
         d = _int(token[1:])
         if d < 1:
             raise _Usage(f"y{d}: generators are numbered from 1")
-        bound = table.top_length if table.complete else table.max_length
-        for md in range(1, bound + 1):
+        for md in range(1, table.top_length + 1):
             gens = find_generators(table, md)
             if len(gens) >= d:
                 return gens.entries[d - 1]

@@ -231,9 +231,3 @@ def smith_normal_form(mat) -> SNFResult:
             top[t:] = [a + b for a, b in zip(top[t:], m[offender][t:])]
             row_ops.append(("axpy", t, offender, 1))
     return SNFResult(m, row_ops, col_ops)
-
-
-def integer_diagonalize(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(P, D, Q) with P @ M @ Q = D in Smith normal form."""
-    res = smith_normal_form(mat)
-    return res.p, res.d, res.q

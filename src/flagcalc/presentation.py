@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characteristics import monomial_vector
-from .errors import NonSurjective, OutOfRange, TruncatedTable
+from .errors import NonSurjective, OutOfRange
 from .intlinalg import SNFResult, smith_normal_form
 from .weyl import CosetEntry, CosetTable
 
@@ -109,10 +109,9 @@ def expansion_matrix(table: CosetTable, gens: GeneratorSet, m: int) -> Expansion
     """The b(m) x beta(m) integer matrix of pi_m on the monomial basis."""
     if m < 0:
         raise OutOfRange(f"degree must be nonnegative, got {m}")
-    if not table.complete and m > table.max_length:
-        raise TruncatedTable(f"degree {m} beyond max_length={table.max_length}")
-    monomials = tuple(monomial_basis(gens.degrees, m))
+    # the layer first: past a truncated bound it refuses before the basis is built
     layer = table.layer(m)
+    monomials = tuple(monomial_basis(gens.degrees, m))
     rows = []
     for exps in monomials:
         classes = [g for g, e in zip(gens.entries, exps) for _ in range(e)]
@@ -131,8 +130,7 @@ def _degree(table: CosetTable, gens: GeneratorSet, m: int) -> tuple[ExpansionMat
     return record
 
 
-def find_generators(table: CosetTable, max_degree: int | None = None,
-                    tie_break: str = "lowest") -> GeneratorSet:
+def find_generators(table: CosetTable, max_degree: int | None = None) -> GeneratorSet:
     """Minimal special Schubert classes spanning every degree up to the bound.
 
     Degree by degree, the Smith form of the expansion matrix in the
@@ -142,27 +140,21 @@ def find_generators(table: CosetTable, max_degree: int | None = None,
     is adjoined, its unit vector appended and the Smith form taken again
     (only the first form of a degree is the table's degree record).
     The lattice only grows, so a class passed over stays inside it and the
-    scan goes on from the next index.  ``tie_break="highest"`` scans
-    indexes in reverse; the per-degree generator count is invariant under
-    that choice.  Any other ``tie_break`` raises OutOfRange.
+    scan goes on from the next index.
     """
-    if tie_break not in ("lowest", "highest"):
-        raise OutOfRange(f"tie_break must be 'lowest' or 'highest', got {tie_break!r}")
     if max_degree is None:
         table.require_complete("find_generators without explicit max_degree")
         max_degree = table.top_length
     if max_degree < 0:
         raise OutOfRange(f"max_degree must be nonnegative, got {max_degree}")
-    if not table.complete and max_degree > table.max_length:
-        raise TruncatedTable(f"max_degree {max_degree} beyond table bound")
+    table.layer(max_degree)  # past a truncated bound: refused before any degree
     chosen: list[CosetEntry] = []
     # the layers above the top are empty and need no generator
     for m in range(1, min(max_degree, table.top_length) + 1):
         matrix, snf = _degree(table, GeneratorSet(tuple(chosen)), m)
         beta = matrix.beta
         rows = matrix.rows
-        order = range(beta) if tie_break == "lowest" else range(beta - 1, -1, -1)
-        for i in order:
+        for i in range(beta):
             if snf.spans(beta):
                 break
             unit = tuple(1 if j == i else 0 for j in range(beta))
@@ -189,10 +181,7 @@ def _relation_multiples(relations, degrees, m: int, index_of: dict):
     """{monomial * f} for known relations f, as sparse (index, coef) vectors over B(m)."""
     out = []
     for rel in relations:
-        gap = m - rel.degree
-        if gap < 0:
-            continue
-        for mono in monomial_basis(degrees, gap):
+        for mono in monomial_basis(degrees, m - rel.degree):
             out.append([(index_of[tuple(x + y for x, y in zip(exps, mono))], coef)
                         for exps, coef in rel.terms])
     return out
@@ -295,8 +284,6 @@ def schubert_polynomials(table: CosetTable, gens: GeneratorSet, m: int) -> list[
         return []  # an empty layer; its monomial basis may be huge
     matrix, snf = _degree(table, gens, m)
     beta = matrix.beta
-    if beta == 0:
-        return []
     if not snf.spans(beta):
         raise NonSurjective(f"expansion matrix not onto at degree {m}")
     p, q = snf.p, snf.q

@@ -17,12 +17,15 @@ letter of the child's lexicographically least reduced word, so the child's
 word is (g,) + parent word, every coset is reached once, and a layer built
 in (g, parent index) order is already sorted by word.
 
+A truncated table has one guard, ``layer``: it refuses any length past the
+last layer, and every reader of layers, entries or degrees inherits that.
+
 All arithmetic is exact (Python integers); matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cartan import CartanMatrix
 from .errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
@@ -105,19 +108,22 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 
 @dataclass(frozen=True, slots=True)
 class CosetEntry:
-    """One minimal coset representative: index (m, i) and minimized word."""
+    """One minimal coset representative: index (m, i), minimized word, orbit point."""
 
     m: int
     i: int
     word: tuple[int, ...]
+    vector: tuple[int, ...] = field(compare=False, repr=False)
 
 
 class CosetTable:
     """Ordered minimal coset representatives of W(P_K) in W(G).
 
     Layer m holds the length-m representatives sorted by their minimized
-    words; ``betti[m]`` is the layer size.  Tables built with a max_length
-    are marked truncated and refuse operations that need the full space.
+    words; ``betti[m]`` is the layer size.  A table built with a max_length
+    that stops below the top is truncated: ``layer`` refuses any length past
+    its last layer (the one truncation guard), and ``require_complete``
+    refuses operations that need the full space.
     """
 
     def __init__(self, cartan: CartanMatrix, k_set: frozenset[int],
@@ -128,9 +134,6 @@ class CosetTable:
         self.layers = layers
         self.max_length = max_length
         self._by_vector = vector_index
-        # entry -> vector, built by vector() on first use; its size is the
-        # table's, not the queries', so clear_caches() keeps it
-        self._layer_vectors: list[list[tuple[int, ...]]] | None = None
         # memos of characteristics.py: per target word (and per ancestor of
         # one) its factor masks and columns; two-factor rows per unordered
         # pair of classes; vectors per sorted monomial.  Memo of
@@ -179,6 +182,8 @@ class CosetTable:
 
     def layer(self, m: int) -> list[CosetEntry]:
         if m < 0 or m >= len(self.layers):
+            if m > 0 and not self.complete:
+                raise TruncatedTable(f"length {m} beyond max_length={self.max_length}")
             return []
         return self.layers[m]
 
@@ -187,20 +192,6 @@ class CosetTable:
         if not 1 <= i <= len(layer):
             raise NotFound(f"no entry w_{{{m},{i}}}")
         return layer[i - 1]
-
-    def vector(self, entry: CosetEntry) -> tuple[int, ...]:
-        """The orbit point (weight vector) of an entry's coset.
-
-        The inverse of ``_by_vector`` is built on first use, one pass per
-        table, so enumeration alone never pays for it.
-        """
-        vectors = self._layer_vectors
-        if vectors is None:
-            vectors = [[()] * len(layer) for layer in self.layers]
-            for v, e in self._by_vector.items():
-                vectors[e.m][e.i - 1] = v
-            self._layer_vectors = vectors
-        return vectors[entry.m][entry.i - 1]
 
     def entries(self):
         for layer in self.layers:
@@ -246,10 +237,10 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
         raise OutOfRange(f"limit must be nonnegative, got {limit}")
 
     v0 = tuple(1 if j + 1 in k_set else 0 for j in range(n))
-    root = CosetEntry(0, 1, ())
+    root = CosetEntry(0, 1, (), v0)
     by_vector: dict[tuple[int, ...], CosetEntry] = {v0: root}
     layers: list[list[CosetEntry]] = [[root]]
-    frontier: list[tuple[tuple[int, ...], CosetEntry]] = [(v0, root)]
+    frontier = [root]
     total = 1
     truncated = None
     while frontier:
@@ -257,12 +248,14 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
             raise ResourceLimit(f"coset count exceeded limit={limit}")
         depth = len(layers)
         if max_length is not None and depth > max_length:
-            truncated = max_length
+            # a next layer exists exactly when some point still has an ascent
+            truncated = max_length if any(max(e.vector) > 0 for e in frontier) else None
             break
-        nxt: list[tuple[tuple[int, ...], CosetEntry]] = []
+        nxt: list[CosetEntry] = []
         for g, row in enumerate(cartan.nonzero_rows, start=1):
             p = g - 1
-            for vec, parent in frontier:
+            for parent in frontier:
+                vec = parent.vector
                 vg = vec[p]
                 if vg <= 0:
                     continue
@@ -272,11 +265,10 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
                 # a descent before g means g is not the child's first letter
                 if p and min(child[:p]) < 0:
                     continue
-                nxt.append((tuple(child),
-                            CosetEntry(depth, len(nxt) + 1, (g,) + parent.word)))
+                nxt.append(CosetEntry(depth, len(nxt) + 1, (g,) + parent.word, tuple(child)))
         if nxt:
-            layers.append([entry for _, entry in nxt])
-            by_vector.update(nxt)
+            layers.append(nxt)
+            by_vector.update((e.vector, e) for e in nxt)
             total += len(nxt)
         frontier = nxt
     return CosetTable(cartan, k_set, layers, truncated, by_vector)

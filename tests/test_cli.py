@@ -457,7 +457,7 @@ def test_package_exports_unchanged():
         "borel_inverse_components", "builtin_cartan", "cartan", "characteristic",
         "characteristics", "coset_to_partition", "element_of_word", "enumerate_cosets",
         "errors", "expansion_matrix", "find_generators", "find_relations",
-        "generator_set_from_words", "integer_diagonalize", "intlinalg", "lr_coefficient",
+        "generator_set_from_words", "intlinalg", "lr_coefficient",
         "multiply_schubert", "oracle", "parse_group_label", "partition_to_entry", "pieri",
         "presentation", "schubert_polynomials", "simple_reflection",
         "smith_normal_form", "structure_matrix", "top_element", "triangular_operator",
@@ -562,6 +562,52 @@ def test_spaces_inside_a_node_number_are_usage_error(runner):
                                  "--max-len", "1"])
     assert padded.exit_code == plain.exit_code == 0
     assert padded.output == plain.output == "w_{1,1} = [1]\nw_{1,2} = [2]\n"
+
+
+@pytest.mark.parametrize("args, expected", [
+    # a table cut exactly at its top length is complete
+    (["char", "--group", "A3", "--k", "1", "--max-len", "3", "--w", "top",
+      "--classes", "c1^3"], "c1^3 = 1\n"),
+    (["multiply", "--group", "A3", "--k", "2", "--u", "[1,2]", "--v", "[3,2]"], "0\n"),
+    (["multiply", "--group", "A3", "--k", "2", "--u", "[2]", "--v", "[2]", "--format", "csv"],
+     "m,i,coef\n2,1,1\n2,2,1\n"),
+    (["schubpoly", "--group", "A3", "--k", "2", "--deg", "2", "--format", "json"],
+     '{"schema": "schubert-polynomials/1", "degree": 2, "generators": '
+     '[{"degree": 1, "word": [2]}, {"degree": 2, "word": [1, 2]}], "polynomials": '
+     '[{"index": 1, "terms": [{"exps": [0, 1], "coef": 1}]}, '
+     '{"index": 2, "terms": [{"exps": [2, 0], "coef": 1}, {"exps": [0, 1], "coef": -1}]}]}\n'),
+], ids=["char-cut-at-top", "multiply-zero", "multiply-csv", "schubpoly-json"])
+def test_command_stdout(runner, args, expected):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == expected
+
+
+@pytest.mark.parametrize("args", [
+    ["char", "--group", "A8", "--k", "4", "--max-len", "5", "--w", "(6,1)",
+     "--classes", "c1^6"],
+    ["char", "--group", "A8", "--k", "4", "--max-len", "5", "--w", "(5,1)",
+     "--classes", "part:3,3"],
+    ["schubpoly", "--group", "A8", "--k", "4", "--max-len", "5", "--deg", "7"],
+])
+def test_lengths_past_a_truncated_bound_are_refused(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: TruncatedTable: length ")
+
+
+@pytest.mark.parametrize("k, classes, message", [
+    ("2", " ", "empty class specifier"),
+    ("1,2", "c1", "c<r> shorthand needs a singleton K"),
+    ("2", "c3", "c3 outside 1..2"),
+    ("2", "y3", "table has fewer than 3 generators"),
+])
+def test_class_specifier_usage_errors(runner, k, classes, message):
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", k, "--classes", classes])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize("args, expected", [

@@ -1,7 +1,7 @@
 import random
 
 from flagcalc import builtin_cartan, enumerate_cosets, presentation
-from flagcalc.intlinalg import integer_diagonalize, smith_normal_form
+from flagcalc.intlinalg import smith_normal_form
 
 from conftest import hnf_rows, lattice_contains
 
@@ -43,8 +43,9 @@ def test_snf_known_cases():
     assert res.p == [[1, 0], [0, 1]] and res.q == [[1, 0], [0, 1]]
 
 
-def test_integer_diagonalize_contract():
-    p, d, q = integer_diagonalize([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+def test_smith_normal_form_contract():
+    res = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    p, d, q = res.p, res.d, res.q
     assert _mat_mul(_mat_mul(p, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), q) == d
     diag = [d[i][i] for i in range(3)]
     for a, b in zip(diag, diag[1:]):

@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from flagcalc import builtin_cartan, enumerate_cosets
-from flagcalc.errors import NonSurjective, OutOfRange
-from flagcalc.oracle import borel_inverse_components
+from flagcalc.errors import NonSurjective, OutOfRange, TruncatedTable
+from flagcalc.oracle import borel_inverse_components, partition_to_entry
 from flagcalc.presentation import (
     GeneratorSet,
     expansion_matrix,
@@ -72,8 +72,10 @@ def test_find_generators_e6p2_degrees(e6p2):
     assert list(gens.entries[3].word) == [1, 3, 6, 5, 4, 2]
 
 
-# The words find_generators chooses under each tie-break, recorded with the
-# implementation that grew a Hermite normal form after every adjoined class.
+# The words find_generators chooses, then the words a scan of each degree's
+# classes from the highest index chooses (another valid generator system),
+# both recorded with the implementation that grew a Hermite normal form
+# after every adjoined class.
 # (series, rank, K -- "T" for all nodes --, bound -- None for the top degree)
 _PINNED_GENERATORS = {
     ("B", 3, "T", 9): (((1,), (2,), (3,)),
@@ -108,20 +110,27 @@ _PINNED_GENERATORS = {
 @pytest.mark.parametrize("series,rank,k,bound", list(_PINNED_GENERATORS))
 def test_generator_words_pinned(series, rank, k, bound):
     k_set = set(range(1, rank + 1)) if k == "T" else {k}
-    pinned = _PINNED_GENERATORS[series, rank, k, bound]
-    for tie_break, expected in zip(("lowest", "highest"), pinned):
-        table = enumerate_cosets(builtin_cartan(series, rank), k_set)
-        gens = find_generators(table, bound, tie_break=tie_break)
-        assert tuple(e.word for e in gens.entries) == expected, tie_break
+    table = enumerate_cosets(builtin_cartan(series, rank), k_set)
+    gens = find_generators(table, bound)
+    assert tuple(e.word for e in gens.entries) == _PINNED_GENERATORS[series, rank, k, bound][0]
 
 
-def test_generator_count_invariant_under_tie_break(g42, e6p2):
-    for table, bound in ((g42, 4), (e6p2, 6)):
-        low = find_generators(table, bound, tie_break="lowest")
-        high = find_generators(table, bound, tie_break="highest")
-        assert [e.m for e in low.entries] == [e.m for e in high.entries]
-    with pytest.raises(OutOfRange):
-        find_generators(g42, 4, tie_break="lowset")
+def test_truncated_table_refuses_past_its_bound(g94, g94_len8):
+    # CosetTable.layer is the one guard; every reader of a layer inherits it
+    gens = find_generators(g94_len8, 8)
+    refused = [
+        lambda: g94_len8.layer(9),
+        lambda: g94_len8.entry(9, 1),
+        lambda: expansion_matrix(g94_len8, gens, 9),
+        lambda: find_generators(g94_len8, 9),
+        lambda: schubert_polynomials(g94_len8, gens, 9),
+        lambda: partition_to_entry(g94_len8, (3, 3, 3)),
+    ]
+    for call in refused:
+        with pytest.raises(TruncatedTable, match="length 9 beyond max_length=8"):
+            call()
+    assert g94_len8.layer(-1) == []
+    assert g94.layer(21) == []
 
 
 def test_relations_g42_match_borel(g42):
@@ -240,13 +249,17 @@ def _relations_and_polynomials(table, gens, bound):
 _E6P2_WORDS = [[2], [5, 4, 2], [6, 5, 4, 2], [1, 3, 6, 5, 4, 2]]
 
 
+# "highest": the words of the highest-index scan in _PINNED_GENERATORS
 @pytest.mark.parametrize("series,rank,k_set,bound,choice", [
     ("B", 3, {1, 2, 3}, 9, "lowest"),
-    ("B", 3, {1, 2, 3}, 9, "highest"),
+    pytest.param("B", 3, {1, 2, 3}, 9, _PINNED_GENERATORS["B", 3, "T", 9][1],
+                 id="B-3-k_set1-9-highest"),
     ("A", 4, {1, 2, 3, 4}, 8, "lowest"),
-    ("A", 4, {1, 2, 3, 4}, 8, "highest"),
+    pytest.param("A", 4, {1, 2, 3, 4}, 8, _PINNED_GENERATORS["A", 4, "T", 10][1],
+                 id="A-4-k_set3-8-highest"),
     ("E", 6, {2}, 12, "lowest"),
-    ("E", 6, {2}, 12, "highest"),
+    pytest.param("E", 6, {2}, 12, _PINNED_GENERATORS["E", 6, 2, 16][1],
+                 id="E-6-k_set5-12-highest"),
     ("E", 6, {2}, 12, _E6P2_WORDS),
 ])
 def test_degree_records_do_not_show_in_outputs(series, rank, k_set, bound, choice):
@@ -258,16 +271,16 @@ def test_degree_records_do_not_show_in_outputs(series, rank, k_set, bound, choic
     """
     cartan = builtin_cartan(series, rank)
     warm = enumerate_cosets(cartan, k_set)
-    if isinstance(choice, str):
-        gens = find_generators(warm, bound, tie_break=choice)
+    if choice == "lowest":
+        gens = find_generators(warm, bound)
     else:
         find_generators(warm, bound)
         gens = generator_set_from_words(warm, choice)
     first = _relations_and_polynomials(warm, gens, bound)
     assert first == _relations_and_polynomials(enumerate_cosets(cartan, k_set), gens, bound)
     assert _relations_and_polynomials(warm, gens, bound) == first
-    if isinstance(choice, str):
-        assert find_generators(warm, bound, tie_break=choice) == gens
+    if choice == "lowest":
+        assert find_generators(warm, bound) == gens
     assert warm._degrees
     warm.clear_caches()
     assert warm._degrees == {}

@@ -176,7 +176,7 @@ def test_matrix_reconstruction(g42, g2t):
     for table in (g42, g2t):
         for e in table.entries():
             assert table.lookup_word(e.word) is e
-            assert table._by_vector[table.vector(e)] is e
+            assert table._by_vector[e.vector] is e
 
 
 def test_enumerate_errors():
@@ -198,6 +198,15 @@ def test_unreached_bound_is_complete():
     table = enumerate_cosets(a3, {1}, max_length=10)
     assert table.complete
     assert table.top_length == 3
+
+
+@pytest.mark.parametrize("series,rank,k_set,top", [("A", 3, {1}, 3), ("A", 8, {4}, 20)])
+def test_bound_at_the_top_is_complete(series, rank, k_set, top):
+    # the last layer has no ascent, so no layer was cut off
+    table = enumerate_cosets(builtin_cartan(series, rank), k_set, max_length=top)
+    assert table.complete
+    assert table.top_length == top
+    assert top_element(table)[1] == top
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +233,6 @@ def _reference_cosets(cm, k_set, max_length=None, limit=10_000_000):
         total += len(ordered)
         if total > limit:
             raise ResourceLimit(f"coset count exceeded limit={limit}")
-        if max_length is not None and depth >= max_length:
-            break
         nxt = {}
         for vec, word in frontier.items():
             for g in range(1, n + 1):
@@ -236,6 +243,8 @@ def _reference_cosets(cm, k_set, max_length=None, limit=10_000_000):
                 if child not in nxt or cand < nxt[child]:
                     nxt[child] = cand
         frontier = nxt
+        if max_length is not None and depth >= max_length:
+            break
         depth += 1
     truncated = max_length if (max_length is not None and frontier) else None
     return layers, seen, truncated
