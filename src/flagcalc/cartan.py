@@ -95,7 +95,10 @@ def validate(entries) -> CartanMatrix:
     Raises NotCartan naming the first violated invariant.  Reducible
     (block-diagonal) matrices are accepted.
     """
-    rows = tuple(tuple(r) for r in entries)
+    try:
+        rows = tuple(tuple(r) for r in entries)
+    except TypeError:
+        raise NotCartan("entries must be a list of rows") from None
     n = len(rows)
     if n == 0:
         raise NotCartan("matrix is empty")
@@ -162,13 +165,10 @@ def builtin_cartan(series: str, rank: int) -> CartanMatrix:
         m[rank - 1][rank - 2] = 0
         m[rank - 3][rank - 1] = -1
         m[rank - 1][rank - 3] = -1
-    elif s in ("E", "F", "G"):
-        key = f"{s}{rank}"
-        if key not in _EXCEPTIONAL:
-            raise InvalidSeriesRank(f"no builtin matrix for {key}")
-        m = [list(r) for r in _EXCEPTIONAL[key]]
-    else:  # pragma: no cover
-        raise InvalidSeriesRank(series)
+    else:
+        if label not in _EXCEPTIONAL:
+            raise InvalidSeriesRank(f"no builtin matrix for {label}")
+        m = [list(r) for r in _EXCEPTIONAL[label]]
     validated = validate(m)
     return CartanMatrix(validated.entries, label=label)
 
@@ -183,6 +183,8 @@ def parse_group_label(label: str) -> CartanMatrix:
 
 def from_json(obj: dict) -> CartanMatrix:
     """Read the {"rank": n, "entries": [[...]]} representation."""
+    if not isinstance(obj, dict):
+        raise NotCartan("top level must be an object")
     if "entries" not in obj:
         raise NotCartan("missing 'entries' field")
     cm = validate(obj["entries"])

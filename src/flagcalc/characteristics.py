@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CartanMatrix
-from .errors import DegreeMismatch, IndexOutOfRange
-from .weyl import CosetEntry, CosetTable, _apply_gen_vec
+from .errors import DegreeMismatch
+from .weyl import CosetEntry, CosetTable, _apply_gen_vec, _letters
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,7 @@ class StructureMatrix:
 
 def structure_matrix(cartan: CartanMatrix, word) -> StructureMatrix:
     """A_w as dense rows: the entries of ``_sparse_columns``, zero elsewhere."""
-    word = tuple(word)
-    n = cartan.rank
-    for g in word:
-        if not 1 <= g <= n:
-            raise IndexOutOfRange(f"letter {g} outside 1..{n}")
+    word = _letters(cartan, word)
     rows = [[0] * len(word) for _ in word]
     for t, column in enumerate(_sparse_columns(cartan, word)):
         for s, x in column:

@@ -21,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import DegreeMismatch, FlagcalcError, OutOfRange, ResourceLimit
+from .errors import DegreeMismatch, FlagcalcError, NotCartan, OutOfRange, ResourceLimit
 
 if TYPE_CHECKING:
     from .weyl import CosetEntry, CosetTable
@@ -62,7 +62,11 @@ def _load_table(a: argparse.Namespace) -> CosetTable:
         raise _Usage(f"--cartan-file {a.cartan_file!r} is not a readable file")
     else:
         with open(a.cartan_file) as fh:
-            cartan = from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise NotCartan(f"{a.cartan_file} is not JSON: {exc}") from None
+        cartan = from_json(obj)
     k_set = _resolve_k(a.k, cartan.rank)
     kwargs = {} if a.limit is None else {"limit": a.limit}
     return enumerate_cosets(cartan, k_set, a.max_len, **kwargs)

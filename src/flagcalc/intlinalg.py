@@ -30,6 +30,15 @@ def _copy(mat) -> list[list[int]]:
     return [list(r) for r in mat]
 
 
+def _combine(pairs, width: int) -> list[int]:
+    """The sum of c * row over (c, row) pairs, skipping zero coefficients."""
+    out = [0] * width
+    for c, row in pairs:
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
 def _replay(n: int, ops, inverse: bool) -> list[list[int]]:
     """Apply a log of elementary row operations to the n x n identity.
 
@@ -105,10 +114,7 @@ class SNFResult:
         """
         if not self.d:
             return not any(vec)
-        y = [0] * len(self.d[0])
-        for c, row in zip(vec, self.q):
-            if c:
-                y = [a + c * b for a, b in zip(y, row)]
+        y = _combine(zip(vec, self.q), len(self.d[0]))
         rank = self.rank
         return (all(y[j] % self.d[j][j] == 0 for j in range(rank))
                 and not any(y[rank:]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .characteristics import monomial_vector
 from .errors import NonSurjective, OutOfRange
-from .intlinalg import SNFResult, smith_normal_form
+from .intlinalg import SNFResult, _combine, smith_normal_form
 from .weyl import CosetEntry, CosetTable
 
 
@@ -86,23 +86,13 @@ class SchubertPolynomial:
 
 
 def monomial_basis(degrees, m: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of weighted degree m, in descending lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, left: int, cur: list[int]) -> None:
-        if idx == len(degrees):
-            if left == 0:
-                out.append(tuple(cur))
-            return
-        top = left // degrees[idx]
-        for e in range(top, -1, -1):
-            cur.append(e)
-            rec(idx + 1, left - e * degrees[idx], cur)
-            cur.pop()
-
-    rec(0, m, [])
-    out.sort(reverse=True)
-    return out
+    """Exponent vectors of weighted degree m, in descending lexicographic order
+    (each exponent runs down from its largest value, so nothing is sorted)."""
+    partial = [((), m)]
+    for d in degrees:
+        partial = [(p + (e,), left - e * d)
+                   for p, left in partial for e in range(left // d, -1, -1)]
+    return [p for p, left in partial if left == 0]
 
 
 def expansion_matrix(table: CosetTable, gens: GeneratorSet, m: int) -> ExpansionMatrix:
@@ -187,20 +177,9 @@ def _relation_multiples(relations, degrees, m: int, index_of: dict):
     return out
 
 
-def _combine(pairs, width: int) -> list[int]:
-    """The sum of c * row over (c, row) pairs, skipping zero coefficients."""
-    out = [0] * width
-    for c, row in pairs:
-        if c:
-            out = [a + c * b for a, b in zip(out, row)]
-    return out
-
-
 def _relation_terms(vec, monomials):
     """Terms in canonical monomial order, sign fixed so the leader is positive."""
     terms = [(monomials[i], c) for i, c in enumerate(vec) if c]
-    if not terms:
-        return None
     if terms[0][1] < 0:
         terms = [(e, -c) for e, c in terms]
     return tuple(terms)
@@ -246,10 +225,9 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
         if not kernel:
             continue
         old = _relation_multiples(relations, degrees, m, index_of)
-        new_vecs: list[list[int]] = []
-        if not old:
-            new_vecs = [row[:] for row in kernel]
-        else:
+        # rows of a unimodular P, or unimodular combinations of them: never zero
+        new_vecs = kernel
+        if old:
             # coordinates of the old sublattice inside the kernel lattice
             p_inv = snf.p_inv
             coords = []
@@ -264,15 +242,9 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
             diag = res.diagonal
             # primed kernel basis rows (Q^-1 @ kernel) whose invariant
             # factor is not 1
-            for idx in range(len(kernel)):
-                if idx < len(diag) and diag[idx] == 1:
-                    continue
-                new_vecs.append(_combine(zip(res.q_inv[idx], kernel), b))
-        batch = []
-        for vec in new_vecs:
-            terms = _relation_terms(vec, monomials)
-            if terms is not None:
-                batch.append(Relation(m, terms))
+            new_vecs = [_combine(zip(res.q_inv[idx], kernel), b) for idx in range(len(kernel))
+                        if idx >= len(diag) or diag[idx] != 1]
+        batch = [Relation(m, _relation_terms(vec, monomials)) for vec in new_vecs]
         batch.sort(key=lambda r: r.terms[0][0], reverse=True)
         relations.extend(batch)
     return Presentation(gens, tuple(relations), max_degree)

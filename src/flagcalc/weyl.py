@@ -4,8 +4,11 @@ Simple reflections are integer matrices on the fundamental-weight basis
 w_1..w_n: s_i fixes every w_k with k != i and sends w_i to w_i minus row i of
 the Cartan matrix read in the weight basis.  Coset enumeration does not use
 the matrices: the group acts on weight vectors, one coordinate update per
-nonzero Cartan entry.  Left cosets of a parabolic subgroup W(P_K) are the
-orbit of v_K = sum of w_j over j in K, whose stabilizer is exactly W(P_K).
+nonzero Cartan entry; ``element_of_word`` multiplies the matrices apart
+from it, so each route checks the other.  ``_letters`` is the one check that
+a word's letters lie in 1..rank.  Left cosets of a parabolic subgroup W(P_K)
+are the orbit of v_K = sum of w_j over j in K (a table's root entry), whose
+stabilizer is exactly W(P_K).
 
 The enumeration uses the descent criterion (Casselman, "Machine calculations
 in Weyl groups", Invent. Math. 116 (1994); Bjorner-Brenti, GTM 231, 3.4): an
@@ -52,11 +55,20 @@ def mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
 
 
+def _letters(cartan: CartanMatrix, word) -> tuple[int, ...]:
+    """The word as a tuple, every letter checked to be a node 1..rank."""
+    word = tuple(word)
+    n = cartan.rank
+    for g in word:
+        if not 1 <= g <= n:
+            raise IndexOutOfRange(f"letter {g} outside 1..{n}")
+    return word
+
+
 def simple_reflection(cartan: CartanMatrix, i: int) -> Matrix:
     """Matrix of s_i on the weight basis: w_i -> w_i - sum_j c[i][j] w_j."""
+    _letters(cartan, (i,))
     n = cartan.rank
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"reflection index {i} outside 1..{n}")
     row = cartan.row(i)
     mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     for r in range(n):
@@ -75,29 +87,11 @@ def _apply_gen_vec(cartan: CartanMatrix, g: int, v: tuple[int, ...]) -> tuple[in
     return tuple(out)
 
 
-def _apply_gen_mat(cartan: CartanMatrix, g: int, m: Matrix) -> Matrix:
-    # Left-multiply by s_g: row_r -= c[g][r] * row_g for the few r with c[g][r] != 0.
-    row = cartan.row(g)
-    grow = m[g - 1]
-    out = []
-    for r in range(len(m)):
-        c = row[r]
-        if c == 0:
-            out.append(m[r])
-        else:
-            mr = m[r]
-            out.append(tuple(mr[k] - c * grow[k] for k in range(len(mr))))
-    return tuple(out)
-
-
 def element_of_word(cartan: CartanMatrix, word) -> Matrix:
     """Product s_{i_1} o ... o s_{i_m}; the last letter acts first on vectors."""
-    n = cartan.rank
-    mat = identity_matrix(n)
-    for g in reversed(tuple(word)):
-        if not 1 <= g <= n:
-            raise IndexOutOfRange(f"letter {g} outside 1..{n}")
-        mat = _apply_gen_mat(cartan, g, mat)
+    mat = identity_matrix(cartan.rank)
+    for g in _letters(cartan, word):
+        mat = mat_mul(mat, simple_reflection(cartan, g))
     return mat
 
 
@@ -177,9 +171,6 @@ class CosetTable:
     def size(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
-    def base_vector(self) -> tuple[int, ...]:
-        return tuple(1 if j + 1 in self.k_set else 0 for j in range(self.cartan.rank))
-
     def layer(self, m: int) -> list[CosetEntry]:
         if m < 0 or m >= len(self.layers):
             if m > 0 and not self.complete:
@@ -199,14 +190,13 @@ class CosetTable:
 
     def lookup_word(self, word) -> CosetEntry:
         """Reduce any word to its coset representative's table entry."""
-        v = self.base_vector()
-        for g in reversed(tuple(word)):
-            if not 1 <= g <= self.cartan.rank:
-                raise IndexOutOfRange(f"letter {g} outside 1..{self.cartan.rank}")
+        word = _letters(self.cartan, word)
+        v = self.layers[0][0].vector
+        for g in reversed(word):
             v = _apply_gen_vec(self.cartan, g, v)
         entry = self._by_vector.get(v)
         if entry is None:
-            raise NotFound(f"word {tuple(word)} reaches a coset outside the table")
+            raise NotFound(f"word {word} reaches a coset outside the table")
         return entry
 
     def require_complete(self, what: str = "operation") -> None:
@@ -277,8 +267,6 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
 def top_element(table: CosetTable) -> tuple[tuple[int, ...], int]:
     """The unique maximal-length representative of a complete table."""
     table.require_complete("top_element")
-    top = table.layers[-1]
-    if len(top) != 1:
-        raise NotFound("table has no unique top element")  # pragma: no cover
-    return top[0].word, top[0].m
+    top = table.layers[-1][0]
+    return top.word, top.m
 

@@ -86,6 +86,8 @@ def test_validate_accepts_semisimple():
     ([[2, 0, 0], [0, 2, 0]], "square"),
     ([[2.0, 0], [0, 2]], "integers"),
     ([], "empty"),
+    (5, "list of rows"),
+    ([5], "list of rows"),
 ])
 def test_validate_rejects(entries, fragment):
     with pytest.raises(NotCartan, match=fragment):

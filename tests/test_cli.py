@@ -296,6 +296,27 @@ def test_cartan_file_must_be_a_readable_file(runner, tmp_path):
         assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("content", ["not json", "5", '{"entries": 5}', '{"entries": [5]}'])
+def test_malformed_cartan_file_is_refused(runner, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    result = runner.invoke(main, ["decompose", "--cartan-file", str(path), "--k", "1"])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: NotCartan:")
+    assert "Traceback" not in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_batch_malformed_cartan_file_is_one_error_line(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    lines = f"decompose --cartan-file {path} --k 1\noracle lr --lam 1 --mu 1 --nu 2\n"
+    result = runner.invoke(main, ["batch"], input=lines)
+    assert result.exit_code == 1
+    assert result.stdout == "error: 1\n1\n"
+
+
 def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -33,6 +34,17 @@ def test_monomial_basis_order_and_counts():
     basis = monomial_basis(degs, 8)
     assert len(basis) == brute == 7
     assert basis == sorted(basis, reverse=True)
+    # every degree up to the top, against all exponent vectors in a box,
+    # sorted descending and grouped by weighted degree
+    for degs, top in (((1, 6, 10, 15), 72), ((1, 1, 1, 1), 11)):
+        brute = {}
+        box = itertools.product(*(range(top // d + 1) for d in degs))
+        for e in sorted(box, reverse=True):
+            brute.setdefault(sum(x * d for x, d in zip(e, degs)), []).append(e)
+        for m in range(top + 1):
+            assert monomial_basis(degs, m) == brute[m]
+    assert monomial_basis((), 0) == [()]
+    assert monomial_basis((), 3) == []
 
 
 def test_expansion_matrix_g42(g42):
@@ -113,6 +125,15 @@ def test_generator_words_pinned(series, rank, k, bound):
     table = enumerate_cosets(builtin_cartan(series, rank), k_set)
     gens = find_generators(table, bound)
     assert tuple(e.word for e in gens.entries) == _PINNED_GENERATORS[series, rank, k, bound][0]
+
+
+@pytest.mark.parametrize("series,rank,bound", [("B", 3, 9), ("A", 4, 10)])
+def test_highest_scan_words_are_the_default_generators_on_full_flags(series, rank, bound):
+    # on full flags both scans choose every degree-1 class, so the two
+    # systems are one GeneratorSet and need no separate output check
+    table = enumerate_cosets(builtin_cartan(series, rank), set(range(1, rank + 1)))
+    highest = _PINNED_GENERATORS[series, rank, "T", bound][1]
+    assert generator_set_from_words(table, highest) == find_generators(table, bound)
 
 
 def test_truncated_table_refuses_past_its_bound(g94, g94_len8):
@@ -249,18 +270,16 @@ def _relations_and_polynomials(table, gens, bound):
 _E6P2_WORDS = [[2], [5, 4, 2], [6, 5, 4, 2], [1, 3, 6, 5, 4, 2]]
 
 
-# "highest": the words of the highest-index scan in _PINNED_GENERATORS
+# "highest": the words of the highest-index scan in _PINNED_GENERATORS.  On
+# full flags they give the default GeneratorSet (see the test above), so
+# only E6/P2 runs them; the explicit ids keep each case's earlier name
 @pytest.mark.parametrize("series,rank,k_set,bound,choice", [
-    ("B", 3, {1, 2, 3}, 9, "lowest"),
-    pytest.param("B", 3, {1, 2, 3}, 9, _PINNED_GENERATORS["B", 3, "T", 9][1],
-                 id="B-3-k_set1-9-highest"),
-    ("A", 4, {1, 2, 3, 4}, 8, "lowest"),
-    pytest.param("A", 4, {1, 2, 3, 4}, 8, _PINNED_GENERATORS["A", 4, "T", 10][1],
-                 id="A-4-k_set3-8-highest"),
-    ("E", 6, {2}, 12, "lowest"),
+    pytest.param("B", 3, {1, 2, 3}, 9, "lowest", id="B-3-k_set0-9-lowest"),
+    pytest.param("A", 4, {1, 2, 3, 4}, 8, "lowest", id="A-4-k_set2-8-lowest"),
+    pytest.param("E", 6, {2}, 12, "lowest", id="E-6-k_set4-12-lowest"),
     pytest.param("E", 6, {2}, 12, _PINNED_GENERATORS["E", 6, 2, 16][1],
                  id="E-6-k_set5-12-highest"),
-    ("E", 6, {2}, 12, _E6P2_WORDS),
+    pytest.param("E", 6, {2}, 12, _E6P2_WORDS, id="E-6-k_set6-12-choice6"),
 ])
 def test_degree_records_do_not_show_in_outputs(series, rank, k_set, bound, choice):
     """The per-degree records that the three steps share change no output.

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from flagcalc import builtin_cartan, element_of_word, enumerate_cosets, simple_reflection, top_element
+from flagcalc.characteristics import structure_matrix
 from flagcalc.errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
                              TruncatedTable)
 from flagcalc.weyl import _apply_gen_vec, identity_matrix, mat_mul, mat_vec
@@ -42,12 +43,17 @@ def test_involution_and_determinant(series, rank):
         assert int_det(s) in (1, -1)
 
 
-def test_reflection_index_range():
-    a2 = builtin_cartan("A", 2)
-    with pytest.raises(IndexOutOfRange):
-        simple_reflection(a2, 0)
-    with pytest.raises(IndexOutOfRange):
-        simple_reflection(a2, 3)
+@pytest.mark.parametrize("letter", [0, 3])
+@pytest.mark.parametrize("call", [
+    lambda a2, g: simple_reflection(a2, g),
+    lambda a2, g: element_of_word(a2, (1, g)),
+    lambda a2, g: enumerate_cosets(a2, {1}).lookup_word((1, g)),
+    lambda a2, g: structure_matrix(a2, (1, g)),
+], ids=["simple_reflection", "element_of_word", "lookup_word", "structure_matrix"])
+def test_reflection_index_range(call, letter):
+    # one check of a word's letters serves every reader of a word
+    with pytest.raises(IndexOutOfRange, match=rf"letter {letter} outside 1\.\.2$"):
+        call(builtin_cartan("A", 2), letter)
 
 
 def test_element_of_word_basics():
