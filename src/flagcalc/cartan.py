@@ -3,7 +3,8 @@
 A Cartan matrix is the single numeric input every other module consumes.  The
 builtin catalogue covers the classical series A, B, C, D and the exceptional
 groups E6, E7, E8, F4, G2, all in Bourbaki node numbering with the convention
-c[i][j] = 2(a_i, a_j) / (a_j, a_j) for simple roots a_1..a_n.
+c[i][j] = 2(a_i, a_j) / (a_j, a_j) for simple roots a_1..a_n.  E6 and E7
+are read as the leading 6x6 and 7x7 blocks of E8.
 """
 
 from __future__ import annotations
@@ -27,23 +28,6 @@ _EXCEPTIONAL: dict[str, tuple[tuple[int, ...], ...]] = {
         (-1, 2, -2, 0),
         (0, -1, 2, -1),
         (0, 0, -1, 2),
-    ),
-    "E6": (
-        (2, 0, -1, 0, 0, 0),
-        (0, 2, 0, -1, 0, 0),
-        (-1, 0, 2, -1, 0, 0),
-        (0, -1, -1, 2, -1, 0),
-        (0, 0, 0, -1, 2, -1),
-        (0, 0, 0, 0, -1, 2),
-    ),
-    "E7": (
-        (2, 0, -1, 0, 0, 0, 0),
-        (0, 2, 0, -1, 0, 0, 0),
-        (-1, 0, 2, -1, 0, 0, 0),
-        (0, -1, -1, 2, -1, 0, 0),
-        (0, 0, 0, -1, 2, -1, 0),
-        (0, 0, 0, 0, -1, 2, -1),
-        (0, 0, 0, 0, 0, -1, 2),
     ),
     "E8": (
         (2, 0, -1, 0, 0, 0, 0, 0),
@@ -166,9 +150,11 @@ def builtin_cartan(series: str, rank: int) -> CartanMatrix:
         m[rank - 3][rank - 1] = -1
         m[rank - 1][rank - 3] = -1
     else:
-        if label not in _EXCEPTIONAL:
+        # in Bourbaki numbering E6 and E7 are the leading blocks of E8
+        stored = _EXCEPTIONAL.get("E8" if label in ("E6", "E7") else label)
+        if stored is None:
             raise InvalidSeriesRank(f"no builtin matrix for {label}")
-        m = [list(r) for r in _EXCEPTIONAL[label]]
+        m = [list(r[:rank]) for r in stored[:rank]]
     validated = validate(m)
     return CartanMatrix(validated.entries, label=label)
 

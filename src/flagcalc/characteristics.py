@@ -26,13 +26,14 @@ power of L_k is expanded (the argument is in ``triangular_operator``).
 polynomial.  The product engine applies it to two factors only: the
 structure constant c^w_{u,v} is the functional of w's word on the product
 of the two mask sums, x_a x_b = x_{a|b} times one multiplier per position
-of a & b, and these constants are memoized per table as one row per
-unordered pair {u, v}.  A monomial of any length is then folded one factor
-at a time in the Schubert basis, and ``characteristic``,
-``multiply_schubert`` and the presentation's expansion matrices all read
-from the same rows.  Per target word the table memoizes the nonzero entries
-of A_w's columns and every class's masks as bitmasks; a word's masks are
-built from its parent word's in the coset tree (``class_factor_masks``).
+of a & b.  The row of constants of a pair {u, v} is the Schubert-basis
+vector of the monomial s_u s_v, memoized per table among the monomial
+vectors.  A longer monomial is folded one factor at a time from its longest
+memoized prefix, and ``characteristic``, ``multiply_schubert`` and the
+presentation's expansion matrices all read from the same rows.  Per target
+word the table memoizes the nonzero entries of A_w's columns and every
+class's masks as bitmasks; a word's masks are built from its parent word's
+in the coset tree (``class_factor_masks``).
 """
 
 from __future__ import annotations
@@ -292,18 +293,18 @@ def _sparse_columns(cartan: CartanMatrix, word: tuple[int, ...]) -> list:
 
 
 def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> dict:
-    """{(m, i): c^w_{u,v}} over the nonzero constants of layer l(u) + l(v), memoized."""
+    """{(m, i): c^w_{u,v}} over layer l(u) + l(v), memoized as the vector of s_u s_v."""
     key = ((u.m, u.i), (v.m, v.i))
-    if key[1] < key[0]:
+    if key[0] < key[1]:
         key = (key[1], key[0])
-    row = table._rows.get(key)
+    row = table._vectors.get(key)
     if row is None:
         row = {}
         for w in table.layer(u.m + v.m):
             c = _pair_constant(table, w, u, v)
             if c:
                 row[(w.m, w.i)] = c
-        table._rows[key] = row
+        table._vectors[key] = row
     return row
 
 
@@ -319,11 +320,13 @@ def monomial_vector(table: CosetTable, classes) -> dict:
     if not factors:
         return {(0, 1): 1}
     keys = tuple((u.m, u.i) for u in factors)
+    if len(keys) == 1:
+        return {keys[0]: 1}
     memo = table._vectors
     done = len(keys)
-    while done > 1 and keys[:done] not in memo:
+    while done > 2 and keys[:done] not in memo:
         done -= 1
-    vec = memo[keys[:done]] if done > 1 else {keys[0]: 1}
+    vec = memo[keys[:done]] if done > 2 else _row(table, factors[0], factors[1])
     for t in range(done, len(keys)):
         g = factors[t]
         nxt: dict = {}
@@ -347,8 +350,6 @@ def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
         raise DegreeMismatch(
             f"classes have total degree {total}, target has length {w.m}"
         )
-    if w.m == 0:
-        return 1
     return monomial_vector(table, classes).get((w.m, w.i), 0)
 
 

@@ -359,15 +359,16 @@ def crosscheck(a: argparse.Namespace) -> None:
     from .oracle import coset_to_partition, lr_coefficient
     table = _load_table(a)
     entries = list(table.entries())
+    parts = {e: coset_to_partition(table, e) for e in entries}
     checked = 0
     for idx, u in enumerate(entries):
         for v in entries[idx:]:
             if u.m + v.m > table.top_length:
                 continue
             expansion = multiply_schubert(table, u, v).as_dict()
-            lam, mu = coset_to_partition(table, u), coset_to_partition(table, v)
+            lam, mu = parts[u], parts[v]
             for w in table.layer(u.m + v.m):
-                nu = coset_to_partition(table, w)
+                nu = parts[w]
                 expected = lr_coefficient(lam, mu, nu)
                 got = expansion.get((w.m, w.i), 0)
                 checked += 1

@@ -26,10 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-def _copy(mat) -> list[list[int]]:
-    return [list(r) for r in mat]
-
-
 def _combine(pairs, width: int) -> list[int]:
     """The sum of c * row over (c, row) pairs, skipping zero coefficients."""
     out = [0] * width
@@ -156,7 +152,7 @@ def smith_normal_form(mat) -> SNFResult:
     the rest of the block runs only for a pivot above 1.  None of this
     changes which operations are logged.
     """
-    m = _copy(mat)
+    m = [list(r) for r in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     row_ops: list[tuple] = []

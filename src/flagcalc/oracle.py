@@ -158,7 +158,8 @@ def borel_inverse_components(k: int, n: int):
     """Degree n-k+1 .. n components of the inverse of 1 + c_1 + ... + c_k.
 
     Each component is a sparse polynomial over exponent tuples in c_1..c_k,
-    built by the recursion inv[j] = -sum_i c_i * inv[j-i].
+    built by the recursion inv[j] = -sum_i c_i * inv[j-i].  Every term of
+    exponent e has the sign (-1)^|e|, so no sum cancels and no zero is kept.
     """
     if not 1 <= k < n:
         raise OutOfRange(f"need 1 <= k < n, got k={k} n={n}")
@@ -171,10 +172,6 @@ def borel_inverse_components(k: int, n: int):
                 e = list(exps)
                 e[i - 1] += 1
                 key = tuple(e)
-                v = acc.get(key, 0) - coef
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+                acc[key] = acc.get(key, 0) - coef
         inv.append(acc)
     return [inv[j] for j in range(n - k + 1, n + 1)]

@@ -129,19 +129,17 @@ class CosetTable:
         self.max_length = max_length
         self._by_vector = vector_index
         # memos of characteristics.py: per target word (and per ancestor of
-        # one) its factor masks and columns; two-factor rows per unordered
-        # pair of classes; vectors per sorted monomial.  Memo of
-        # presentation.py: (expansion matrix, Smith form) per (generator
-        # entries, degree)
+        # one) its factor masks and columns; Schubert-basis vectors per
+        # descending monomial key, a pair's row of constants being the
+        # two-factor vector.  Memo of presentation.py: (expansion matrix,
+        # Smith form) per (generator entries, degree)
         self._char_cache: dict = {}
-        self._rows: dict = {}
         self._vectors: dict = {}
         self._degrees: dict = {}
 
     def clear_caches(self) -> None:
         """Empty the memos that queries fill; later queries rebuild them."""
         self._char_cache.clear()
-        self._rows.clear()
         self._vectors.clear()
         self._degrees.clear()
 
@@ -150,7 +148,6 @@ class CosetTable:
         return {
             "target_words": len(self._char_cache),
             "mask_entries": sum(len(memo["masks"]) for memo in self._char_cache.values()),
-            "pair_rows": len(self._rows),
             "monomial_vectors": len(self._vectors),
             "degree_records": len(self._degrees),
         }

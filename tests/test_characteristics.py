@@ -541,7 +541,7 @@ def test_clear_caches():
     h = table.lookup_word([4])
     classes = [c4, c4, h, h, table.entry(5, 1), table.entry(5, 2)]
     before = characteristic(table, top, classes)
-    assert table._char_cache and table._rows and table._vectors
+    assert table._char_cache and table._vectors
     table.clear_caches()
-    assert table._char_cache == {} and table._rows == {} and table._vectors == {}
+    assert table._char_cache == {} and table._vectors == {}
     assert characteristic(table, top, classes) == before

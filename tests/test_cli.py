@@ -128,6 +128,15 @@ def test_char_degree_mismatch_exits_one(runner):
     assert "DegreeMismatch" in result.output
 
 
+def test_char_partition_outside_the_box_exits_one(runner):
+    # part:3 does not fit the 2x2 box of G(2,4), so it names no class
+    result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
+                                  "--w", "top", "--classes", "part:3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: OutOfRange: no class for partition (3,)\n"
+
+
 def test_char_small_value(runner):
     result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
                                   "--w", "top", "--classes", "c2^2"])
@@ -206,10 +215,36 @@ def test_oracle_lr(runner):
     assert result.output.strip() == "2"
 
 
-def test_oracle_crosscheck(runner):
-    result = runner.invoke(main, ["oracle", "crosscheck", "--group", "A5", "--k", "2"])
-    assert result.exit_code == 0
-    assert result.output.startswith("PASS")
+def _skew_degree_one_products(monkeypatch):
+    """Add 1 to every coefficient of a degree-1 by degree-1 product."""
+    from flagcalc import characteristics
+    real = characteristics.multiply_schubert
+
+    def skewed(table, u, v):
+        e = real(table, u, v)
+        if u.m == v.m == 1:
+            e = characteristics.SchubertExpansion(
+                e.degree, tuple((idx, c + 1) for idx, c in e.terms))
+        return e
+    monkeypatch.setattr(characteristics, "multiply_schubert", skewed)
+
+
+@pytest.mark.parametrize("args, skew, code, stdout, stderr", [
+    (["--group", "A5", "--k", "3"], False, 0, "PASS (228 coefficients compared)\n", ""),
+    (["--group", "A5", "--k", "3"], True, 1,
+     "MISMATCH at (1,) * (1,) -> (1, 1): characteristic 2, oracle 1\n", ""),
+    (["--group", "E6", "--k", "2"], False, 1, "",
+     "error: NotTypeA: table was not built from a type-A Cartan matrix\n"),
+    (["--group", "A5", "--k", "1,2"], False, 1, "",
+     "error: NotSingletonK: K = [1, 2] is not a single node\n"),
+], ids=["pass", "mismatch", "not-type-a", "not-singleton-k"])
+def test_oracle_crosscheck(runner, monkeypatch, args, skew, code, stdout, stderr):
+    if skew:
+        _skew_degree_one_products(monkeypatch)
+    result = runner.invoke(main, ["oracle", "crosscheck", *args])
+    assert result.exit_code == code
+    assert result.stdout == stdout
+    assert result.stderr == stderr
 
 
 def test_char_x_power_spelling(runner):
@@ -597,7 +632,18 @@ def test_spaces_inside_a_node_number_are_usage_error(runner):
      '[{"degree": 1, "word": [2]}, {"degree": 2, "word": [1, 2]}], "polynomials": '
      '[{"index": 1, "terms": [{"exps": [0, 1], "coef": 1}]}, '
      '{"index": 2, "terms": [{"exps": [2, 0], "coef": 1}, {"exps": [0, 1], "coef": -1}]}]}\n'),
-], ids=["char-cut-at-top", "multiply-zero", "multiply-csv", "schubpoly-json"])
+    # the README's example: positive terms after the first and coefficients above 1
+    (["present", "--group", "E6", "--k", "2", "--max-deg", "9"],
+     "generators:\n"
+     "  y1 = s_{1,1} [2]\n"
+     "  y2 = s_{3,1} [3, 4, 2]\n"
+     "  y3 = s_{4,1} [1, 3, 4, 2]\n"
+     "  y4 = s_{6,1} [1, 3, 6, 5, 4, 2]\n"
+     "relations (complete through degree 9):\n"
+     "  degree 6: y1^6 - 2*y1^3*y2 + 3*y1^2*y3 - y2^2 - 2*y4\n"
+     "  degree 8: y1^8 + 3*y1^4*y3 - 6*y1^2*y2^2 - 3*y1^2*y4 + 6*y1*y2*y3 - 3*y3^2\n"
+     "  degree 9: y1^3*y2^2 + 3*y1*y3^2 - 2*y2^3 - 2*y2*y4\n"),
+], ids=["char-cut-at-top", "multiply-zero", "multiply-csv", "schubpoly-json", "present-e6-p2"])
 def test_command_stdout(runner, args, expected):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output

@@ -113,6 +113,13 @@ def test_borel_components():
     comps = borel_inverse_components(2, 4)
     assert comps[0] == {(3, 0): -1, (1, 1): 2}
     assert comps[1] == {(4, 0): 1, (2, 1): -3, (0, 2): 1}
+    # every coefficient of exponent e is nonzero with sign (-1)^|e|, so the
+    # recursion's sums never cancel
+    for n in range(2, 13):
+        for k in range(1, n):
+            for comp in borel_inverse_components(k, n):
+                for e, coef in comp.items():
+                    assert coef and (coef > 0) == (sum(e) % 2 == 0), (k, n, e, coef)
 
 
 def test_borel_geometric_series():
