@@ -94,16 +94,14 @@ def triangular_operator(a: StructureMatrix, h) -> int:
     that hole (then only that hole may still be filled).
     """
     m = a.size
-    terms = {}
+    # {descending multipliers: {support: coefficient}}
+    groups: dict = {}
     for e, c in h.items():
         e = tuple(e)
         if len(e) != m or sum(e) != m or min(e, default=0) < 0:
             raise DegreeMismatch(f"term {e} is not degree {m} in {m} variables")
-        if c:
-            terms[e] = terms.get(e, 0) + c
-    # {descending multipliers: {support: coefficient}}
-    groups: dict = {}
-    for e, c in terms.items():
+        if not c:
+            continue
         support = sum(1 << d for d, x in enumerate(e) if x)
         mults = tuple(d for d in range(m - 1, -1, -1) for _ in range(e[d] - 1))
         states = groups.setdefault(mults, {})

@@ -83,11 +83,13 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
     Factors are whitespace separated; each is c<r> (type-A single-K column
     class), y<d> (d-th canonical generator), [i,j,...] (word), (m,i) (index)
     or part:a,b,... (type-A partition), optionally raised with ^e (x e is
-    accepted as an alternate power spelling).
+    accepted as an alternate power spelling).  Unit factors add no entry.
     """
+    rest = spec.strip()
+    if not rest:
+        raise _Usage("empty class specifier")
     out: list[CosetEntry] = []
     degree = 0
-    rest = spec.strip()
     pos = 0
     while pos < len(rest):
         if rest[pos].isspace():
@@ -104,15 +106,13 @@ def parse_classes(table: CosetTable, spec: str) -> list[CosetEntry]:
         digits = (match.group(2) or "1").lstrip("0")
         power = cap if len(digits) > len(str(cap)) else int(digits or "0")
         # refuse an impossible degree before building the list, so a huge
-        # power costs nothing; a zero-length factor is the unit, kept once
+        # power costs nothing
         degree += entry.m * power
         if degree > table.top_length:
             raise DegreeMismatch(f"classes have total degree at least {degree}, "
                                  f"beyond the table's longest length {table.top_length}")
-        out.extend([entry] * (power if entry.m else min(power, 1)))
+        out.extend([entry] * (power if entry.m else 0))
         pos = match.end()
-    if not out:
-        raise _Usage("empty class specifier")
     return out
 
 
@@ -134,10 +134,9 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
         raise _Usage(f"{token!r} is a power; a single class is expected")
     token = match.group(1)
     if token.startswith("c"):
+        from .weyl import grassmannian_shape  # refused off G(k, n) as part: is
         r = _int(token[1:])
-        if len(table.k_set) != 1:
-            raise _Usage("c<r> shorthand needs a singleton K")
-        k = next(iter(table.k_set))
+        k = grassmannian_shape(table)[0]
         if not 1 <= r <= k:
             raise _Usage(f"c{r} outside 1..{k}")
         return table.lookup_word(tuple(range(k - r + 1, k + 1)))
@@ -146,7 +145,8 @@ def _resolve_class(table: CosetTable, token: str) -> CosetEntry:
         d = _int(token[1:])
         if d < 1:
             raise _Usage(f"y{d}: generators are numbered from 1")
-        for md in range(1, table.top_length + 1):
+        # one bound past the table: TruncatedTable if cut, else nothing new
+        for md in range(1, table.top_length + 2):
             gens = find_generators(table, md)
             if len(gens) >= d:
                 return gens.entries[d - 1]

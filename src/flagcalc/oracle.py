@@ -5,15 +5,16 @@ k x (n-k) box, and the structure constants are Littlewood-Richardson
 coefficients.  This module recomputes both from first principles (skew
 tableau enumeration with a lattice-word check), completely independently of
 the elimination-operator route, so the two can be compared triple by triple.
+The type-A check is ``weyl.grassmannian_shape``; a minimal coset word's
+partition always fits the box, so no conversion checks it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .cartan import builtin_cartan
-from .errors import NotSingletonK, NotTypeA, OutOfRange
-from .weyl import CosetEntry, CosetTable
+from .errors import OutOfRange
+from .weyl import CosetEntry, CosetTable, grassmannian_shape
 
 Partition = tuple[int, ...]
 
@@ -31,18 +32,6 @@ def normalize_partition(parts) -> Partition:
     return parts
 
 
-def grassmannian_shape(table: CosetTable) -> tuple[int, int]:
-    """(k, n-k) for a type-A table with singleton K; errors otherwise."""
-    n = table.cartan.rank
-    expected = builtin_cartan("A", n)
-    if table.cartan.entries != expected.entries:
-        raise NotTypeA("table was not built from a type-A Cartan matrix")
-    if len(table.k_set) != 1:
-        raise NotSingletonK(f"K = {sorted(table.k_set)} is not a single node")
-    k = next(iter(table.k_set))
-    return k, n + 1 - k
-
-
 def word_to_permutation(word, n: int) -> tuple[int, ...]:
     """One-line permutation of 1..n for a word in the simple transpositions.
 
@@ -55,26 +44,25 @@ def word_to_permutation(word, n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _partition(word, shape: tuple[int, int]) -> Partition:
+    """Partition of a coset word of G(k, n), shape (k, n-k), read off its permutation."""
+    k, width = shape
+    perm = word_to_permutation(word, k + width)
+    return normalize_partition(perm[k - i] - (k + 1 - i) for i in range(1, k + 1))
+
+
 def coset_to_partition(table: CosetTable, entry: CosetEntry) -> Partition:
     """Partition of the Grassmannian Schubert class behind a coset entry."""
-    k, width = grassmannian_shape(table)
-    n = table.cartan.rank + 1
-    perm = word_to_permutation(entry.word, n)
-    lam = []
-    for i in range(1, k + 1):
-        lam.append(perm[k - i] - (k + 1 - i))
-    lam = normalize_partition(lam)
-    if lam and lam[0] > width:
-        raise OutOfRange(f"partition {lam} escapes the {k}x{width} box")
-    return lam
+    return _partition(entry.word, grassmannian_shape(table))
 
 
 def partition_to_entry(table: CosetTable, lam) -> CosetEntry:
     """Inverse of coset_to_partition, by scanning the degree layer."""
     lam = normalize_partition(lam)
-    size = sum(lam)
-    for entry in table.layer(size):
-        if coset_to_partition(table, entry) == lam:
+    layer = table.layer(sum(lam))
+    shape = grassmannian_shape(table)
+    for entry in layer:
+        if _partition(entry.word, shape) == lam:
             return entry
     raise OutOfRange(f"no class for partition {lam}")
 

@@ -22,6 +22,8 @@ in (g, parent index) order is already sorted by word.
 
 A truncated table has one guard, ``layer``: it refuses any length past the
 last layer, and every reader of layers, entries or degrees inherits that.
+``grassmannian_shape`` is the one type-A Grassmannian check, for the
+oracle's partitions and the CLI's ``c<r>`` (which so loads no oracle).
 
 All arithmetic is exact (Python integers); matrices are tuples of row tuples.
 """
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import CartanMatrix
-from .errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
-                     TruncatedTable)
+from .cartan import CartanMatrix, builtin_cartan
+from .errors import (EmptyK, IndexOutOfRange, NotFound, NotSingletonK, NotTypeA, OutOfRange,
+                     ResourceLimit, TruncatedTable)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -266,4 +268,16 @@ def top_element(table: CosetTable) -> tuple[tuple[int, ...], int]:
     table.require_complete("top_element")
     top = table.layers[-1][0]
     return top.word, top.m
+
+
+def grassmannian_shape(table: CosetTable) -> tuple[int, int]:
+    """(k, n-k) for a type-A table with singleton K; errors otherwise."""
+    n = table.cartan.rank
+    expected = builtin_cartan("A", n)
+    if table.cartan.entries != expected.entries:
+        raise NotTypeA("table was not built from a type-A Cartan matrix")
+    if len(table.k_set) != 1:
+        raise NotSingletonK(f"K = {sorted(table.k_set)} is not a single node")
+    k = next(iter(table.k_set))
+    return k, n + 1 - k
 

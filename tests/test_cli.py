@@ -126,6 +126,14 @@ def test_char_degree_mismatch_exits_one(runner):
                                   "--w", "top", "--classes", "c1^3 c2^2"])
     assert result.exit_code == 1
     assert "DegreeMismatch" in result.output
+    # a ^0 factor is the unit class, of degree 0, as (0,1) is
+    for classes in ("c1^0", "(0,1)"):
+        result = runner.invoke(main, ["char", "--group", "A3", "--k", "2",
+                                      "--w", "top", "--classes", classes])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: DegreeMismatch: classes have total degree 0, "
+                                 "target has length 4\n")
 
 
 def test_char_partition_outside_the_box_exits_one(runner):
@@ -213,6 +221,13 @@ def test_oracle_lr(runner):
     result = runner.invoke(main, ["oracle", "lr", "--lam", "2,1",
                                   "--mu", "2,1", "--nu", "3,2,1"])
     assert result.output.strip() == "2"
+
+
+def test_oracle_lr_negative_part_exits_one(runner):
+    result = runner.invoke(main, ["oracle", "lr", "--lam", "2,-1", "--mu", "1", "--nu", "2"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: OutOfRange: negative part in (2, -1)\n"
 
 
 def _skew_degree_one_products(monkeypatch):
@@ -643,7 +658,18 @@ def test_spaces_inside_a_node_number_are_usage_error(runner):
      "  degree 6: y1^6 - 2*y1^3*y2 + 3*y1^2*y3 - y2^2 - 2*y4\n"
      "  degree 8: y1^8 + 3*y1^4*y3 - 6*y1^2*y2^2 - 3*y1^2*y4 + 6*y1*y2*y3 - 3*y3^2\n"
      "  degree 9: y1^3*y2^2 + 3*y1*y3^2 - 2*y2^3 - 2*y2*y4\n"),
-], ids=["char-cut-at-top", "multiply-zero", "multiply-csv", "schubpoly-json", "present-e6-p2"])
+    # a ^0 factor adds nothing, so the monomial is the unit class
+    (["char", "--group", "A3", "--k", "2", "--w", "(0,1)", "--classes", "c1^0"],
+     "c1^0 = 1\n"),
+    # two generators in degrees 1 and 2, and no relation through degree 2
+    (["present", "--group", "A3", "--k", "2", "--max-deg", "2"],
+     "generators:\n"
+     "  y1 = s_{1,1} [2]\n"
+     "  y2 = s_{2,1} [1, 2]\n"
+     "relations (complete through degree 2):\n"
+     "  none\n"),
+], ids=["char-cut-at-top", "multiply-zero", "multiply-csv", "schubpoly-json", "present-e6-p2",
+        "char-power-zero", "present-no-relations"])
 def test_command_stdout(runner, args, expected):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
@@ -656,6 +682,11 @@ def test_command_stdout(runner, args, expected):
     ["char", "--group", "A8", "--k", "4", "--max-len", "5", "--w", "(5,1)",
      "--classes", "part:3,3"],
     ["schubpoly", "--group", "A8", "--k", "4", "--max-len", "5", "--deg", "7"],
+    # the d-th generator lies past the bound, or there is none
+    ["char", "--group", "A8", "--k", "4", "--max-len", "2", "--w", "(2,1)",
+     "--classes", "y3"],
+    ["char", "--group", "E6", "--k", "2", "--max-len", "5", "--w", "(5,1)",
+     "--classes", "y4"],
 ])
 def test_lengths_past_a_truncated_bound_are_refused(runner, args):
     result = runner.invoke(main, args)
@@ -666,7 +697,6 @@ def test_lengths_past_a_truncated_bound_are_refused(runner, args):
 
 @pytest.mark.parametrize("k, classes, message", [
     ("2", " ", "empty class specifier"),
-    ("1,2", "c1", "c<r> shorthand needs a singleton K"),
     ("2", "c3", "c3 outside 1..2"),
     ("2", "y3", "table has fewer than 3 generators"),
 ])
@@ -675,6 +705,24 @@ def test_class_specifier_usage_errors(runner, k, classes, message):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.endswith(f"error: {message}\n")
+
+
+_NOT_TYPE_A = "error: NotTypeA: table was not built from a type-A Cartan matrix\n"
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["char", "--group", "A3", "--k", "1,2", "--classes", "c1"],
+     "error: NotSingletonK: K = [1, 2] is not a single node\n"),
+    (["multiply", "--group", "E6", "--k", "2", "--u", "c1", "--v", "c2"], _NOT_TYPE_A),
+    (["char", "--group", "B3", "--k", "3", "--w", "(4,1)", "--classes", "c1 c3"], _NOT_TYPE_A),
+    (["char", "--group", "G2", "--k", "2", "--w", "top", "--classes", "c2 c1^3"], _NOT_TYPE_A),
+], ids=["A3-two-nodes", "E6", "B3", "G2"])
+def test_column_classes_off_a_grassmannian_are_refused(runner, args, stderr):
+    # c<r> names a class of G(k, n) only, and is refused elsewhere as part: is
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == stderr
 
 
 @pytest.mark.parametrize("args, expected", [
@@ -694,3 +742,18 @@ def test_degree_bound_far_above_the_top(args, expected):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_reader_closing_the_pipe_ends_quietly():
+    # a reader that stops early (``| head``) ends the command with exit 1
+    # and nothing on stderr; D6 full flags print far more than a pipe holds
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "flagcalc.cli", "decompose",
+                             "--group", "D6", "--k", "all"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""

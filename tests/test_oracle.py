@@ -5,6 +5,7 @@ from flagcalc.errors import NotSingletonK, NotTypeA, OutOfRange
 from flagcalc.oracle import (
     borel_inverse_components,
     coset_to_partition,
+    grassmannian_shape,
     lr_coefficient,
     partition_to_entry,
     pieri,
@@ -35,6 +36,23 @@ def test_partition_bijection(g94):
         seen.add(lam)
         assert partition_to_entry(g94, lam) == entry
     assert len(seen) == 126
+
+
+def test_partition_lookup_checks_the_shape_once(monkeypatch):
+    # one type-A check per lookup, not one per entry of the degree layer
+    from flagcalc import oracle
+    table = enumerate_cosets(builtin_cartan("A", 11), {6})
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return grassmannian_shape(t)
+    monkeypatch.setattr(oracle, "grassmannian_shape", counting)
+    entry = partition_to_entry(table, (6, 6, 6))
+    assert calls == [table]
+    assert len(table.layer(18)) > 1
+    monkeypatch.undo()
+    assert coset_to_partition(table, entry) == (6, 6, 6)
 
 
 def test_layer_counts_match_box_partitions(g94):
