@@ -9,7 +9,6 @@ are read as the leading 6x6 and 7x7 blocks of E8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidSeriesRank, NotCartan
@@ -42,7 +41,6 @@ _EXCEPTIONAL: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-@dataclass(frozen=True)
 class CartanMatrix:
     """Validated integer Cartan matrix.
 
@@ -50,8 +48,14 @@ class CartanMatrix:
     (e.g. "A8") when known and never participates in equality.
     """
 
-    entries: Matrix
-    label: str | None = field(default=None, compare=False)
+    def __init__(self, entries: Matrix, label: str | None = None):
+        self.entries, self.label = entries, label
+
+    def __eq__(self, other):
+        return type(other) is CartanMatrix and other.entries == self.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def rank(self) -> int:
@@ -155,8 +159,7 @@ def builtin_cartan(series: str, rank: int) -> CartanMatrix:
         if stored is None:
             raise InvalidSeriesRank(f"no builtin matrix for {label}")
         m = [list(r[:rank]) for r in stored[:rank]]
-    validated = validate(m)
-    return CartanMatrix(validated.entries, label=label)
+    return CartanMatrix(validate(m).entries, label=label)
 
 
 def parse_group_label(label: str) -> CartanMatrix:

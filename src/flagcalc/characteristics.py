@@ -38,18 +38,17 @@ in the coset tree (``class_factor_masks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import CartanMatrix
 from .errors import DegreeMismatch
 from .weyl import CosetEntry, CosetTable, _apply_gen_vec, _letters
 
 
-@dataclass(frozen=True)
-class StructureMatrix:
+class StructureMatrix(namedtuple("StructureMatrix", "rows")):
     """Strictly upper-triangular integer matrix attached to a minimized word."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -157,12 +156,11 @@ def _top_coefficient(states: dict, mults, columns, full: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchubertExpansion:
-    """Linear combination of Schubert classes of one common degree."""
+class SchubertExpansion(namedtuple("SchubertExpansion", "degree terms")):
+    """Linear combination of Schubert classes of one common degree; ``terms``
+    is (((m, i), coef), ...)."""
 
-    degree: int
-    terms: tuple[tuple[tuple[int, int], int], ...]  # (((m, i), coef), ...)
+    __slots__ = ()
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {idx: c for idx, c in self.terms}

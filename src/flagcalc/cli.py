@@ -7,14 +7,13 @@ and batch (one query per stdin line, one result line each).
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 resource limit.
 
-Each command imports the library modules it calls, so a process loads only
-what its command needs.
+Each command imports the library modules it calls, and json only where it
+reads or writes JSON, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -61,6 +60,7 @@ def _load_table(a: argparse.Namespace) -> CosetTable:
     elif not (os.path.isfile(a.cartan_file) and os.access(a.cartan_file, os.R_OK)):
         raise _Usage(f"--cartan-file {a.cartan_file!r} is not a readable file")
     else:
+        import json
         with open(a.cartan_file) as fh:
             try:
                 obj = json.load(fh)
@@ -172,6 +172,7 @@ def decompose(a: argparse.Namespace) -> None:
     # holds a dict per entry
     table = _load_table(a)
     if a.format == "json":
+        import json
         head = json.dumps({
             "schema": "coset-table/1",
             "group": table.cartan.label or table.cartan.to_json(),
@@ -211,6 +212,7 @@ def char(a: argparse.Namespace) -> None:
     classes = parse_classes(table, a.classes)
     value = characteristic(table, w, classes)
     if a.format == "json":
+        import json
         print(json.dumps({
             "schema": "characteristic/1",
             "w": {"m": w.m, "i": w.i, "word": list(w.word)},
@@ -232,6 +234,7 @@ def multiply(a: argparse.Namespace) -> None:
     v = _resolve_class(table, a.v)
     expansion = multiply_schubert(table, u, v)
     if a.format == "json":
+        import json
         terms = [
             {"m": m, "i": i, "word": list(table.entry(m, i).word), "coef": c}
             for (m, i), c in expansion.terms
@@ -288,6 +291,7 @@ def present(a: argparse.Namespace) -> None:
     gens = find_generators(table, bound)
     pres = find_relations(table, gens, bound)
     if a.format == "json":
+        import json
         print(json.dumps({
             "schema": "presentation/1",
             "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
@@ -322,6 +326,7 @@ def schubpoly(a: argparse.Namespace) -> None:
     gens = find_generators(table, deg)
     polys = schubert_polynomials(table, gens, deg)
     if a.format == "json":
+        import json
         print(json.dumps({
             "schema": "schubert-polynomials/1",
             "degree": deg,
@@ -398,7 +403,7 @@ def batch(a: argparse.Namespace) -> None:
         except (_Usage, SystemExit) as exc:
             if not isinstance(exc, SystemExit) or exc.code:
                 failures += 1
-                print(f"error: {exc}")
+                print(getattr(exc, "line", f"error: {exc}"))
         # each answer leaves at once, for a caller that waits for it
         sys.stdout.flush()
     sys.exit(1 if failures else 0)
@@ -456,7 +461,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
 
 def _run(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Parse one command line and run it; a domain error exits 1 or 3."""
+    """Parse one command line and run it; a domain error exits 1 or 3, and the
+    SystemExit carries the error line printed to stderr as ``line``."""
     a = parser.parse_args(argv)
     try:
         a.run(a)
@@ -464,8 +470,10 @@ def _run(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         exc.parser = a.parser
         raise
     except FlagcalcError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(3 if isinstance(exc, ResourceLimit) else 1)
+        stop = SystemExit(3 if isinstance(exc, ResourceLimit) else 1)
+        stop.line = f"error: {type(exc).__name__}: {exc}"
+        print(stop.line, file=sys.stderr)
+        raise stop
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:

@@ -22,7 +22,6 @@ the same, entry for entry, as the plain elimination on the whole matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -78,7 +77,6 @@ def _replay(n: int, ops, inverse: bool) -> list[list[int]]:
     return out
 
 
-@dataclass
 class SNFResult:
     """P @ M @ Q = D with P, Q unimodular.
 
@@ -89,9 +87,8 @@ class SNFResult:
     the column log, and P^-1 is the transpose of the inverse replay.
     """
 
-    d: list[list[int]]
-    row_ops: list[tuple]
-    col_ops: list[tuple]
+    def __init__(self, d: list[list[int]], row_ops: list[tuple], col_ops: list[tuple]):
+        self.d, self.row_ops, self.col_ops = d, row_ops, col_ops
 
     @property
     def diagonal(self) -> list[int]:

@@ -18,7 +18,7 @@ the record and must not mutate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characteristics import monomial_vector
 from .errors import NonSurjective, OutOfRange
@@ -26,11 +26,19 @@ from .intlinalg import SNFResult, _combine, smith_normal_form
 from .weyl import CosetEntry, CosetTable
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """Special Schubert classes chosen as ring generators, ascending degree."""
 
-    entries: tuple[CosetEntry, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[CosetEntry, ...]):
+        self.entries = entries
+
+    def __eq__(self, other):
+        return type(other) is GeneratorSet and other.entries == self.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -43,46 +51,25 @@ class GeneratorSet:
         return tuple(f"y{i + 1}" for i in range(len(self.entries)))
 
 
-@dataclass(frozen=True)
-class ExpansionMatrix:
+class ExpansionMatrix(namedtuple("ExpansionMatrix", "degree monomials rows beta")):
     """Rows: generator monomials of one degree; columns: Schubert classes.
 
     ``beta`` is the number of Schubert classes of the degree, also when no
     monomial has that degree and there are no rows.
     """
 
-    degree: int
-    monomials: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[int, ...], ...]
-    beta: int
+    __slots__ = ()
 
     @property
     def b(self) -> int:
         return len(self.monomials)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One relation polynomial: sorted ((exponents, coefficient), ...)."""
-
-    degree: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-
-
-@dataclass(frozen=True)
-class Presentation:
-    generators: GeneratorSet
-    relations: tuple[Relation, ...]
-    bound: int
-
-
-@dataclass(frozen=True)
-class SchubertPolynomial:
-    """Polynomial in the generators mapping exactly onto one Schubert class."""
-
-    degree: int
-    index: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+# one relation polynomial: terms sorted ((exponents, coefficient), ...)
+Relation = namedtuple("Relation", "degree terms")
+Presentation = namedtuple("Presentation", "generators relations bound")
+# a polynomial in the generators mapping exactly onto one Schubert class
+SchubertPolynomial = namedtuple("SchubertPolynomial", "degree index terms")
 
 
 def monomial_basis(degrees, m: int) -> list[tuple[int, ...]]:

@@ -30,8 +30,6 @@ All arithmetic is exact (Python integers); matrices are tuples of row tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cartan import CartanMatrix, builtin_cartan
 from .errors import (EmptyK, IndexOutOfRange, NotFound, NotSingletonK, NotTypeA, OutOfRange,
                      ResourceLimit, TruncatedTable)
@@ -102,14 +100,23 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class CosetEntry:
     """One minimal coset representative: index (m, i), minimized word, orbit point."""
 
-    m: int
-    i: int
-    word: tuple[int, ...]
-    vector: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("m", "i", "word", "vector")
+
+    def __init__(self, m: int, i: int, word: tuple[int, ...], vector: tuple[int, ...]):
+        self.m, self.i, self.word, self.vector = m, i, word, vector
+
+    def __eq__(self, other):  # equality and hashing never read the orbit point
+        return (type(other) is CosetEntry and other.m == self.m and other.i == self.i
+                and other.word == self.word)
+
+    def __hash__(self):
+        return hash((self.m, self.i, self.word))
+
+    def __repr__(self):
+        return f"CosetEntry(m={self.m}, i={self.i}, word={self.word})"
 
 
 class CosetTable:

@@ -1,7 +1,7 @@
 import pytest
 
 from flagcalc import builtin_cartan, validate
-from flagcalc.cartan import from_json, parse_group_label
+from flagcalc.cartan import CartanMatrix, from_json, parse_group_label
 from flagcalc.errors import InvalidSeriesRank, NotCartan
 
 
@@ -119,3 +119,14 @@ def test_json_round_trip():
         from_json({"rank": 3, "entries": [[2, 0], [0, 2]]})
     with pytest.raises(NotCartan):
         from_json({"rank": 2})
+
+
+def test_cartan_matrix_compares_and_hashes_on_entries_not_label():
+    a3 = builtin_cartan("A", 3)
+    relabelled = CartanMatrix(a3.entries, label="mine")
+    unlabelled = CartanMatrix(a3.entries)
+    assert (relabelled.label, unlabelled.label, a3.label) == ("mine", None, "A3")
+    assert a3 == relabelled == unlabelled
+    assert hash(a3) == hash(relabelled) == hash(unlabelled)
+    assert {relabelled: 1}[a3] == 1
+    assert a3 != builtin_cartan("B", 3) and a3 != a3.entries

@@ -7,6 +7,7 @@ import pytest
 
 from flagcalc import builtin_cartan, enumerate_cosets, structure_matrix, triangular_operator
 from flagcalc.characteristics import (
+    SchubertExpansion,
     StructureMatrix,
     characteristic,
     class_factor_masks,
@@ -351,6 +352,14 @@ def test_multiply_basic(g42):
     s2 = g42.lookup_word([2])
     expansion = multiply_schubert(g42, s2, s2)
     assert expansion.as_dict() == {(2, 1): 1, (2, 2): 1}
+
+
+def test_schubert_expansion_compares_by_value(g42):
+    s2 = g42.lookup_word([2])
+    expansion = multiply_schubert(g42, s2, s2)
+    copy = SchubertExpansion(expansion.degree, tuple(expansion.terms))
+    assert copy == expansion and hash(copy) == hash(expansion)
+    assert SchubertExpansion(expansion.degree, expansion.terms[:1]) != expansion
 
 
 def test_multiply_symmetric(g42):

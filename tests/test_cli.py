@@ -364,7 +364,10 @@ def test_batch_malformed_cartan_file_is_one_error_line(runner, tmp_path):
     lines = f"decompose --cartan-file {path} --k 1\noracle lr --lam 1 --mu 1 --nu 2\n"
     result = runner.invoke(main, ["batch"], input=lines)
     assert result.exit_code == 1
-    assert result.stdout == "error: 1\n1\n"
+    # stdout carries the same reason as stderr, not the exit code
+    assert result.stdout == (f"error: NotCartan: {path} is not JSON: "
+                             "Expecting value: line 1 column 1 (char 0)\n1\n")
+    assert result.stderr == result.stdout.splitlines()[0] + "\n"
 
 
 def test_version(runner):
@@ -495,12 +498,38 @@ def test_cold_commands_load_only_their_modules(args):
     assert not loaded & {"flagcalc.presentation", "flagcalc.intlinalg", "flagcalc.oracle"}
 
 
+# the library's records are plain classes, so no command loads dataclasses
+# (nor the inspect it pulls in); json loads only where JSON is read or written
+_NO_RECORD_IMPORTS = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("args, absent", [
-    (["--version"], {"click"}),
-    (["char", "--group", "A8", "--k", "4", "--w", "top", "--classes", "c4^5"],
-     {"click", "csv", "shlex"}),
+    # ((command line, its whole stdout), modules the command must not load)
+    ((["--version"], "flagcalc, version 0.1.0\n"), {"click"}),
+    ((["char", "--group", "A8", "--k", "4", "--w", "top", "--classes", "c4^5"], "c4^5 = 1\n"),
+     {"click", "csv", "shlex", "json", *_NO_RECORD_IMPORTS}),
+    ((["char", "--group", "E6", "--k", "2", "--w", "top", "--classes", "y1^21"],
+      "y1^21 = 151164\n"), {"json", *_NO_RECORD_IMPORTS}),
+    ((["multiply", "--group", "A3", "--k", "2", "--u", "c1", "--v", "c1"],
+      "w_{2,1} [1, 2]: 1\nw_{2,2} [3, 2]: 1\n"), _NO_RECORD_IMPORTS),
+    ((["present", "--group", "A3", "--k", "2", "--max-deg", "4"],
+      "generators:\n  y1 = s_{1,1} [2]\n  y2 = s_{2,1} [1, 2]\n"
+      "relations (complete through degree 4):\n"
+      "  degree 3: y1^3 - 2*y1*y2\n  degree 4: y1^2*y2 - y2^2\n"), _NO_RECORD_IMPORTS),
+    ((["schubpoly", "--group", "A3", "--k", "2", "--deg", "2"],
+      "G_{2,1} = y2\nG_{2,2} = y1^2 - y2\n"), _NO_RECORD_IMPORTS),
+    ((["decompose", "--group", "A2", "--k", "1", "--format", "json"],
+      '{"schema": "coset-table/1", "group": "A2", "cartan": {"rank": 2, "entries": '
+      '[[2, -1], [-1, 2]]}, "K": [1], "max_length": null, "entries": [{"m": 0, "i": 1, '
+      '"word": []}, {"m": 1, "i": 1, "word": [1]}, {"m": 2, "i": 1, "word": [2, 1]}]}\n'),
+     _NO_RECORD_IMPORTS),
+    ((["oracle", "lr", "--lam", "1", "--mu", "1", "--nu", "2"], "1\n"),
+     {"json", *_NO_RECORD_IMPORTS}),
+    ((["oracle", "crosscheck", "--group", "A3", "--k", "2"],
+      "PASS (16 coefficients compared)\n"), _NO_RECORD_IMPORTS),
 ])
 def test_cold_commands_skip_unused_imports(args, absent):
+    args, stdout = args
     code = (
         "import sys\n"
         "from flagcalc.cli import main\n"
@@ -514,7 +543,7 @@ def test_cold_commands_skip_unused_imports(args, absent):
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() in ("flagcalc, version 0.1.0", "c4^5 = 1")
+    assert proc.stdout == stdout
     assert not set(proc.stderr.split()) & absent
 
 

@@ -92,6 +92,21 @@ def test_snf_transforms_replay_in_any_order():
             assert all(getattr(res, name) is got[name] for name in names)
 
 
+def test_snf_q_is_replayed_once(monkeypatch):
+    from flagcalc import intlinalg
+    calls = []
+    real = intlinalg._replay
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(intlinalg, "_replay", counting)
+    res = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    first = res.q
+    assert res.q is first
+    assert len(calls) == 1
+
+
 def _same_lattice(rows_a, rows_b) -> bool:
     """Equal row lattices: each side's rows are members of the other's form."""
     a, b = smith_normal_form(rows_a), smith_normal_form(rows_b)

@@ -8,6 +8,8 @@ from flagcalc.errors import NonSurjective, OutOfRange, TruncatedTable
 from flagcalc.oracle import borel_inverse_components, partition_to_entry
 from flagcalc.presentation import (
     GeneratorSet,
+    Relation,
+    SchubertPolynomial,
     expansion_matrix,
     find_generators,
     find_relations,
@@ -60,6 +62,24 @@ def test_expansion_matrix_g42(g42):
 def test_find_generators_g42(g42):
     gens = find_generators(g42)
     assert [e.word for e in gens.entries] == [(2,), (1, 2)]
+
+
+def test_generator_set_compares_by_entries_and_hashes(g42):
+    gens = find_generators(g42)
+    same = GeneratorSet(tuple(g42.lookup_word(e.word) for e in gens.entries))
+    assert same == gens and not same != gens
+    assert hash(same) == hash(gens) and {gens: 1}[same] == 1
+    assert GeneratorSet(gens.entries[:1]) != gens
+
+
+def test_relations_and_schubert_polynomials_compare_by_value(g42):
+    gens = find_generators(g42)
+    rel = find_relations(g42, gens).relations[0]
+    assert Relation(rel.degree, tuple(rel.terms)) == rel
+    assert Relation(rel.degree, rel.terms[1:]) != rel
+    poly = schubert_polynomials(g42, gens, 2)[0]
+    assert SchubertPolynomial(poly.degree, poly.index, tuple(poly.terms)) == poly
+    assert SchubertPolynomial(poly.degree, poly.index + 1, poly.terms) != poly
 
 
 def test_find_generators_g94(g94):

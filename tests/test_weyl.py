@@ -7,7 +7,7 @@ from flagcalc import builtin_cartan, element_of_word, enumerate_cosets, simple_r
 from flagcalc.characteristics import structure_matrix
 from flagcalc.errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
                              TruncatedTable)
-from flagcalc.weyl import _apply_gen_vec, identity_matrix, mat_mul, mat_vec
+from flagcalc.weyl import CosetEntry, _apply_gen_vec, identity_matrix, mat_mul, mat_vec
 
 from conftest import load_data
 from test_intlinalg import int_det
@@ -327,3 +327,12 @@ def test_limit_refusals_match_reference():
                 table = enumerate_cosets(cm, k_set, max_length, limit=limit)
                 assert [[(e.m, e.i, e.word) for e in layer]
                         for layer in table.layers] == expected
+
+
+def test_coset_entry_compares_and_hashes_on_index_and_word_not_vector():
+    entry = enumerate_cosets(builtin_cartan("A", 3), {2}).entry(2, 1)
+    moved = CosetEntry(entry.m, entry.i, entry.word, (7, 7, 7))
+    assert moved == entry and not moved != entry
+    assert hash(moved) == hash(entry) and {entry: 1}[moved] == 1
+    assert CosetEntry(entry.m, entry.i, entry.word[::-1], entry.vector) != entry
+    assert CosetEntry(entry.m, entry.i + 1, entry.word, entry.vector) != entry
