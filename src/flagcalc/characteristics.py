@@ -31,9 +31,9 @@ vector of the monomial s_u s_v, memoized per table among the monomial
 vectors.  A longer monomial is folded one factor at a time from its longest
 memoized prefix, and ``characteristic``, ``multiply_schubert`` and the
 presentation's expansion matrices all read from the same rows.  Per target
-word the table memoizes the nonzero entries of A_w's columns and every
-class's masks as bitmasks; a word's masks are built from its parent word's
-in the coset tree (``class_factor_masks``).
+word and per ancestor of one the table memoizes the nonzero entries of A_w's
+columns and every class's masks as bitmasks, each built from the parent
+word's in the coset tree (``_prepend_letter``, ``class_factor_masks``).
 """
 
 from __future__ import annotations
@@ -56,12 +56,15 @@ class StructureMatrix(namedtuple("StructureMatrix", "rows")):
 
 
 def structure_matrix(cartan: CartanMatrix, word) -> StructureMatrix:
-    """A_w as dense rows: the entries of ``_sparse_columns``, zero elsewhere."""
+    """A_w as dense rows: ``_prepend_letter`` folded over the word, zero elsewhere."""
     word = _letters(cartan, word)
+    columns: list = []
+    for s in range(len(word) - 1, -1, -1):
+        columns = _prepend_letter(cartan, word[s:], columns)
     rows = [[0] * len(word) for _ in word]
-    for t, column in enumerate(_sparse_columns(cartan, word)):
-        for s, x in column:
-            rows[s][t] = x
+    for t, column in enumerate(columns):
+        for r, x in column:
+            rows[-1 - r][t] = x
     return StructureMatrix(tuple(map(tuple, rows)))
 
 
@@ -106,7 +109,7 @@ def triangular_operator(a: StructureMatrix, h) -> int:
         states = groups.setdefault(mults, {})
         states[support] = states.get(support, 0) + c
     rows = a.rows
-    columns = [tuple((s, rows[s][t]) for s in range(t) if rows[s][t]) for t in range(m)]
+    columns = [tuple((m - 1 - s, rows[s][t]) for s in range(t) if rows[s][t]) for t in range(m)]
     full = (1 << m) - 1
     return sum(_top_coefficient(states, mults, columns, full)
                for mults, states in groups.items())
@@ -117,10 +120,12 @@ def _top_coefficient(states: dict, mults, columns, full: int) -> int:
 
     ``states`` maps a support bitmask K (bit d for x_{d+1}) to its
     coefficient c; ``mults`` are the multiplier positions d_1 >= d_2 >= ...,
-    each inside every K; ``columns[j]`` holds the nonzero (s, a_{s+1,j+1})
-    with s < j.  ``weight[j]`` is the summed weight of the chains that have
-    reached position j.
+    each inside every K; ``columns[j]`` holds the nonzero (r, a_{s+1,j+1})
+    with s < j, the row counted from the word's end, r = m-1-s.
+    ``weight[r]`` is the summed weight of the chains that have reached
+    position m-1-r.
     """
+    top = full.bit_length() - 1
     n = len(mults)
     for t in range(n):
         d = mults[t]
@@ -132,16 +137,18 @@ def _top_coefficient(states: dict, mults, columns, full: int) -> int:
             if high > d:
                 continue
             low = high if high > after else (holes & -holes).bit_length() - 1
-            weight = [0] * (d + 1)
-            weight[d] = c
-            for j in range(d, low - 1, -1):
-                x = weight[j]
+            stop = top - low
+            weight = [0] * (stop + 1)
+            weight[top - d] = c
+            for r in range(top - d, stop + 1):
+                x = weight[r]
                 if not x:
                     continue
+                j = top - r
                 if support >> j & 1:
-                    for s, y in columns[j]:
-                        if s >= low:
-                            weight[s] += x * y
+                    for q, y in columns[j]:
+                        if q <= stop:
+                            weight[q] += x * y
                 else:
                     key = support | 1 << j
                     nxt[key] = nxt.get(key, 0) + x
@@ -171,7 +178,7 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
 
     Returned as ascending bitmasks over the m positions (bit q for letter
     w.word[q]).  They follow from the coset tree.  The invariant relied on is
-    that w.word[1:] is the word of w's parent, the table entry of s_g w for
+    that ``w.parent``, of word w.word[1:], is the table entry of s_g w for
     g = w.word[0], which ``enumerate_cosets`` guarantees.  A subset either
     skips position 0, and is then a subset of the parent's word spelling u,
     or uses it, and the rest spells s_g u.  The latter happens exactly when g
@@ -186,7 +193,7 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     deletion/contraction of subword complexes (Knutson-Miller, "Subword
     complexes in Coxeter groups", Adv. Math. 184 (2004)); the subsets are the
     L(u, w) of Duan's product formula (Duan, "Multiplicative rule of Schubert
-    classes", Invent. Math. 159 (2005)).  The parent chain is walked in a loop
+    classes", Invent. Math. 159 (2005)).  The ``parent`` chain is walked in a loop
     and every ancestor's masks are memoized; Python recursion only follows
     u -> s_g u, so its depth is at most l(u).
     """
@@ -206,10 +213,9 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     by_vector = table._by_vector
     # walk down to the first ancestor whose masks are known or of length l(u)
     chain = [(w, cache)]
-    node, vec = w, w.vector
+    node = w
     while True:
-        vec = _apply_gen_vec(cartan, node.word[0], vec)
-        node = by_vector[vec]
+        node = node.parent
         if node.m == t:
             got = ((1 << t) - 1,) if (node.m, node.i) == key else ()
             break
@@ -219,17 +225,15 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
             break
         chain.append((node, node_cache))
     # and back up, each word's masks from its parent's
-    parent = node
     uvec = u.vector
     for node, node_cache in reversed(chain):
         g = node.word[0]
         out = [x << 1 for x in got]
         if uvec[g - 1] < 0:
             su = by_vector[_apply_gen_vec(cartan, g, uvec)]
-            out += [x << 1 | 1 for x in class_factor_masks(table, parent, su)]
+            out += [x << 1 | 1 for x in class_factor_masks(table, node.parent, su)]
             out.sort()
         got = node_cache[key] = tuple(out)
-        parent = node
     return got
 
 
@@ -257,10 +261,7 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
         for b in masks_v:
             states = groups.setdefault(a & b, {})
             states[a | b] = states.get(a | b, 0) + 1
-    memo = table._char_cache[w.word]
-    columns = memo["columns"]
-    if columns is None:
-        columns = memo["columns"] = _sparse_columns(table.cartan, w.word)
+    columns = table._char_cache[w.word]["columns"] or _word_columns(table, w)
     full = (1 << w.m) - 1
     total = 0
     for shared, states in groups.items():
@@ -269,22 +270,37 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
     return total
 
 
-def _sparse_columns(cartan: CartanMatrix, word: tuple[int, ...]) -> list:
-    """columns[t] = ((s, a_{s+1,t+1}), ...) over the nonzero entries, s ascending.
+def _prepend_letter(cartan: CartanMatrix, word: tuple[int, ...], columns: list) -> list:
+    """A_word's columns from the columns of word[1:]: the one writer of the entry convention.
 
-    a_{s+1,t+1} = -c[i_{s+1}][i_{t+1}], so position s adds an entry only to
-    the later columns whose letter is a nonzero column of row i_{s+1}; the
-    columns are filled forward from ``nonzero_rows``, one pair per entry.
-    This is the one place the entry convention is written: the engine reads
-    these columns, and ``structure_matrix`` scatters them into dense rows.
+    columns[t] holds the nonzero (r, a_{s+1,t+1}), the row counted from the
+    word's end, r = m-1-s.  So column t - 1 of word[1:] is column t of word,
+    and only a_{1,t+1} = -c[g][i_{t+1}], g = word[0], adds (m-1, a_{1,t+1})
+    to the columns whose letter is joined to g.  The table memo takes this
+    step once per word of the coset tree; ``structure_matrix`` folds it.
     """
-    nonzero = cartan.nonzero_rows
-    pending: list[list[tuple[int, int]]] = [[] for _ in range(cartan.rank)]
-    columns = []
-    for t, g in enumerate(word):
-        columns.append(tuple(pending[g - 1]))
-        for h, c in nonzero[g - 1]:
-            pending[h].append((t, -c))
+    joined = dict(cartan.nonzero_rows[word[0] - 1])
+    r = len(columns)
+    out = [()]
+    for h, column in zip(word[1:], columns):
+        c = joined.get(h - 1)
+        out.append(column + ((r, -c),) if c else column)
+    return out
+
+
+def _word_columns(table: CosetTable, w: CosetEntry) -> list:
+    """A_w's memoized columns: the parent chain is walked down in a loop to the
+    first word with columns (the root's are empty), then back up, each word's
+    columns from its parent's, as in ``class_factor_masks``."""
+    chain = []
+    node = w
+    while node.m and _word_memo(table, node.word)["columns"] is None:
+        chain.append(node)
+        node = node.parent
+    columns = table._char_cache[node.word]["columns"] if node.m else []
+    for node in reversed(chain):
+        columns = table._char_cache[node.word]["columns"] = _prepend_letter(
+            table.cartan, node.word, columns)
     return columns
 
 

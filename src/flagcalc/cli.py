@@ -393,6 +393,8 @@ def batch(a: argparse.Namespace) -> None:
                 argv = shlex.split(line)
             except ValueError as exc:  # e.g. an unclosed quote
                 raise _Usage(exc)
+            if argv[:1] == ["batch"]:  # it would read the rest of this batch's stdin
+                raise _Usage("batch cannot run inside batch")
             failures += bool(_run(a.top, argv))
         except (_Usage, SystemExit) as exc:
             if not isinstance(exc, SystemExit) or exc.code:

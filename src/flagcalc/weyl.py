@@ -101,14 +101,16 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 
 
 class CosetEntry:
-    """One minimal coset representative: index (m, i), minimized word, orbit point."""
+    """One minimal coset representative: index (m, i), minimized word, orbit point,
+    and ``parent``, the entry of ``word[1:]`` (None at the root)."""
 
-    __slots__ = ("m", "i", "word", "vector")
+    __slots__ = ("m", "i", "word", "vector", "parent")
 
-    def __init__(self, m: int, i: int, word: tuple[int, ...], vector: tuple[int, ...]):
-        self.m, self.i, self.word, self.vector = m, i, word, vector
+    def __init__(self, m: int, i: int, word: tuple[int, ...], vector: tuple[int, ...],
+                 parent: CosetEntry | None = None):
+        self.m, self.i, self.word, self.vector, self.parent = m, i, word, vector, parent
 
-    def __eq__(self, other):  # equality and hashing never read the orbit point
+    def __eq__(self, other):  # equality and hashing never read the orbit point or parent
         return (type(other) is CosetEntry and other.m == self.m and other.i == self.i
                 and other.word == self.word)
 
@@ -218,7 +220,7 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
     Layer m + 1 is built letter by letter: for each g, every point of layer
     m with an ascent at g (``vec[g-1] > 0``) gives the child s_g vec, which
     is kept only when g is its first descent (first negative coordinate).
-    Its word is (g,) + parent word, and the layer comes out in word order.
+    Its word is (g,) + parent word, its ``parent`` that entry; layers are in word order.
     """
     n = cartan.rank
     k_set = frozenset(int(j) for j in k_set)
@@ -261,7 +263,8 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
                 # a descent before g means g is not the child's first letter
                 if p and min(child[:p]) < 0:
                     continue
-                nxt.append(CosetEntry(depth, len(nxt) + 1, (g,) + parent.word, tuple(child)))
+                nxt.append(CosetEntry(depth, len(nxt) + 1, (g,) + parent.word, tuple(child),
+                                      parent))
         if nxt:
             layers.append(nxt)
             by_vector.update((e.vector, e) for e in nxt)

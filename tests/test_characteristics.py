@@ -9,6 +9,7 @@ from flagcalc import builtin_cartan, enumerate_cosets, structure_matrix, triangu
 from flagcalc.characteristics import (
     SchubertExpansion,
     StructureMatrix,
+    _word_columns,
     characteristic,
     class_factor_masks,
     multiply_schubert,
@@ -61,6 +62,42 @@ def test_structure_matrix_convention(series, rank, k_set):
             for s in range(m)
         )
         assert structure_matrix(cm, word).rows == expected, word
+
+
+@pytest.mark.parametrize("order", ["deepest-first", "ascending"])
+@pytest.mark.parametrize("series, rank, k_set", [
+    ("A", 3, {1, 2, 3}), ("B", 3, {1, 2, 3}), ("C", 3, {1, 2, 3}), ("G", 2, {1, 2}),
+    ("F", 4, {1}), ("E", 6, {2}),
+], ids=["A-3", "B-3", "C-3", "G-2", "F-4-P1", "E-6-P2"])
+def test_tree_built_columns_match_structure_matrix(series, rank, k_set, order):
+    """The memoized columns, built from the parent word's, scatter to A_w.
+
+    Deepest first, the top word's walk fills every ancestor's columns; in
+    ascending order each word finds its parent's already memoized.  A
+    column whose letter is not joined to the first letter is the parent's
+    column one place to the left, the same tuple.
+    """
+    cm = builtin_cartan(series, rank)
+    table = enumerate_cosets(cm, k_set)
+    entries = list(table.entries())
+    if order == "deepest-first":
+        entries.reverse()
+    for w in entries:
+        m = w.m
+        columns = _word_columns(table, w)
+        if m:
+            assert table._char_cache[w.word]["columns"] is columns
+        rows = [[0] * m for _ in range(m)]
+        for t, column in enumerate(columns):
+            for r, x in column:
+                rows[m - 1 - r][t] = x
+        assert tuple(map(tuple, rows)) == structure_matrix(cm, w.word).rows, w.word
+        if w.parent is not None:
+            shifted = _word_columns(table, w.parent)
+            g = w.word[0]
+            for t in range(1, m):
+                if not cm.c(g, w.word[t]):
+                    assert columns[t] is shifted[t - 1]
 
 
 def test_operator_rule_one():
@@ -477,9 +514,13 @@ def test_masks_of_a_deep_word():
     assert class_factor_masks(table, top, h) == (1 << 1099,)
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 70])
+@pytest.mark.parametrize("n", [63, 64, 65, 70, 1100])
 def test_long_word_characteristic(n):
-    """h^n = 1 on CP^n: target words at and beyond 64 letters."""
+    """h^n = 1 on CP^n: target words at and beyond 64 letters.
+
+    At 1100 letters the columns and masks come from 1100 nested words, with
+    Python's default recursion limit.
+    """
     table = enumerate_cosets(builtin_cartan("A", n), {1})
     top = table.entry(n, 1)
     h = table.lookup_word([1])

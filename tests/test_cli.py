@@ -419,6 +419,14 @@ def test_batch_unclosed_quote_is_one_error_line(runner):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_batch_inside_batch_is_one_error_line(runner):
+    """A nested batch would read the outer one's remaining lines itself."""
+    lines = "batch\noracle lr --lam 1 --mu 1 --nu 2\n"
+    result = runner.invoke(main, ["batch"], input=lines)
+    assert result.exit_code == 1
+    assert result.stdout == "error: batch cannot run inside batch\n1\n"
+
+
 def test_resource_limit_exits_three(runner):
     result = runner.invoke(main, ["decompose", "--group", "A4", "--k", "all",
                                   "--limit", "10"])

@@ -185,6 +185,16 @@ def test_matrix_reconstruction(g42, g2t):
             assert table._by_vector[e.vector] is e
 
 
+def test_parent_is_the_entry_of_the_word_without_its_first_letter(g42, g2t, e6p2):
+    for table in (g42, g2t, e6p2):
+        root = table.entry(0, 1)
+        assert root.parent is None
+        for e in table.entries():
+            if e is not root:
+                assert e.parent.word == e.word[1:]
+                assert e.parent is table.lookup_word(e.word[1:])
+
+
 def test_enumerate_errors():
     a3 = builtin_cartan("A", 3)
     with pytest.raises(EmptyK):
@@ -334,5 +344,9 @@ def test_coset_entry_compares_and_hashes_on_index_and_word_not_vector():
     moved = CosetEntry(entry.m, entry.i, entry.word, (7, 7, 7))
     assert moved == entry and not moved != entry
     assert hash(moved) == hash(entry) and {entry: 1}[moved] == 1
+    for parent in (None, entry):
+        other = CosetEntry(entry.m, entry.i, entry.word, entry.vector, parent)
+        assert other.parent is not entry.parent
+        assert other == entry and hash(other) == hash(entry) and {entry: 1}[other] == 1
     assert CosetEntry(entry.m, entry.i, entry.word[::-1], entry.vector) != entry
     assert CosetEntry(entry.m, entry.i + 1, entry.word, entry.vector) != entry
