@@ -265,7 +265,10 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
     full = (1 << w.m) - 1
     total = 0
     for shared, states in groups.items():
-        mults = [d for d in range(shared.bit_length() - 1, -1, -1) if shared >> d & 1]
+        mults = []  # the shared positions, highest first: one step per set bit
+        while shared:
+            mults.append(shared.bit_length() - 1)
+            shared ^= 1 << mults[-1]
         total += _top_coefficient(states, mults, columns, full)
     return total
 

@@ -148,15 +148,17 @@ def _resolve_class(table, token: str):
                 return gens.entries[d - 1]
         raise _Usage(f"table has fewer than {d} generators")
     if token.startswith("["):
-        # letters are comma separated; spaces may pad a letter, not split one
-        letters = [x.split() for x in token[1:-1].split(",")]
-        if any(len(x) > 1 for x in letters):
+        # one letter between commas, spaces only padding it; a blank word is the unit
+        letters = [x.split() for x in token[1:-1].split(",")] if token[1:-1].strip() else []
+        if any(len(x) != 1 for x in letters):
             raise _Usage(f"cannot parse word {token!r}: separate letters by commas")
-        return table.lookup_word([_int(x[0]) for x in letters if x])
+        return table.lookup_word([_int(x[0]) for x in letters])
     if token.startswith("part:"):
         from .oracle import partition_to_entry
-        parts = [_int(x) for x in token[5:].split(",") if x]
-        return partition_to_entry(table, parts)
+        parts = token[5:].split(",")
+        if not all(parts):
+            raise _Usage(f"cannot parse class {token!r}")
+        return partition_to_entry(table, [_int(x) for x in parts])
     m, i = (_int(x) for x in token[1:-1].split(","))
     return table.entry(m, i)
 
@@ -348,7 +350,7 @@ def lr(a: argparse.Namespace) -> None:
 
     def parse(s):
         try:
-            return tuple(int(x) for x in s.split(",") if x)
+            return tuple(int(x) for x in s.split(",")) if s else ()
         except ValueError:
             raise _Usage(f"cannot parse partition {s!r}")
     print(lr_coefficient(parse(a.lam), parse(a.mu), parse(a.nu)))

@@ -80,23 +80,18 @@ def _replay(n: int, ops, inverse: bool) -> list[list[int]]:
 class SNFResult:
     """P @ M @ Q = D with P, Q unimodular.
 
-    Holds D and the logs of the elimination's row and column operations
-    (see ``_replay``).  ``p``, ``p_inv``, ``q`` and ``q_inv`` are each
-    replayed from their log once, on first read.  Column operations act on
-    Q from the right, so Q (as its transpose) and Q^-1 are row replays of
-    the column log, and P^-1 is the transpose of the inverse replay.
+    Holds D, its ``cols``, ``diagonal`` and ``rank`` (set once, when built) and the logs
+    of the elimination's row and column operations (see ``_replay``).  ``p``, ``p_inv``,
+    ``q`` and ``q_inv`` are each replayed from their log once, on first read.  Column
+    operations act on Q from the right, so Q (as its transpose) and Q^-1 are row replays
+    of the column log, and P^-1 is the transpose of the inverse replay.
     """
 
     def __init__(self, d: list[list[int]], row_ops: list[tuple], col_ops: list[tuple]):
         self.d, self.row_ops, self.col_ops = d, row_ops, col_ops
-
-    @property
-    def diagonal(self) -> list[int]:
-        return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
+        self.cols = len(d[0]) if d else 0
+        self.diagonal = [d[i][i] for i in range(min(len(d), self.cols))]
+        self.rank = sum(1 for x in self.diagonal if x != 0)
 
     def contains(self, vec) -> bool:
         """Whether vec lies in the row lattice {x @ M : x integer}.
@@ -107,9 +102,9 @@ class SNFResult:
         """
         if not self.d:
             return not any(vec)
-        y = _combine(zip(vec, self.q), len(self.d[0]))
+        y = _combine(zip(vec, self.q), self.cols)
         rank = self.rank
-        return (all(y[j] % self.d[j][j] == 0 for j in range(rank))
+        return (all(y[j] % self.diagonal[j] == 0 for j in range(rank))
                 and not any(y[rank:]))
 
     def spans(self, cols: int) -> bool:
@@ -126,12 +121,11 @@ class SNFResult:
 
     @cached_property
     def q(self) -> list[list[int]]:
-        cols = len(self.d[0]) if self.d else 0
-        return [list(c) for c in zip(*_replay(cols, self.col_ops, False))]
+        return [list(c) for c in zip(*_replay(self.cols, self.col_ops, False))]
 
     @cached_property
     def q_inv(self) -> list[list[int]]:
-        return _replay(len(self.d[0]) if self.d else 0, self.col_ops, True)
+        return _replay(self.cols, self.col_ops, True)
 
 
 def smith_normal_form(mat) -> SNFResult:

@@ -28,22 +28,19 @@ from .weyl import CosetEntry, CosetTable
 
 
 class GeneratorSet:
-    """Special Schubert classes chosen as ring generators, ascending degree."""
+    """Special Schubert classes chosen as ring generators (ascending ``degrees``, set once)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "degrees")
 
     def __init__(self, entries: tuple[CosetEntry, ...]):
         self.entries = entries
+        self.degrees = tuple(e.m for e in entries)
 
     def __eq__(self, other):
         return type(other) is GeneratorSet and other.entries == self.entries
 
     def __hash__(self):
         return hash((self.entries,))
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(e.m for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -30,7 +30,7 @@ All arithmetic is exact (Python integers); matrices are tuples of row tuples.
 
 from __future__ import annotations
 
-from .cartan import CartanMatrix, builtin_cartan
+from .cartan import CartanMatrix
 from .errors import (EmptyK, IndexOutOfRange, NotFound, NotSingletonK, NotTypeA, OutOfRange,
                      ResourceLimit, TruncatedTable)
 
@@ -124,21 +124,19 @@ class CosetEntry:
 class CosetTable:
     """Ordered minimal coset representatives of W(P_K) in W(G).
 
-    Layer m holds the length-m representatives sorted by their minimized
-    words; ``betti[m]`` is the layer size.  A table built with a max_length
-    that stops below the top is truncated: ``layer`` refuses any length past
-    its last layer (the one truncation guard), and ``require_complete``
-    refuses operations that need the full space.
+    Layer m holds the length-m representatives sorted by their minimized words;
+    ``betti[m]`` is the layer size, and the table indexes their orbit points itself.  A
+    table cut below its top is truncated: ``layer`` refuses any length past its last
+    layer (the one truncation guard), ``require_complete`` any full-space operation.
     """
 
     def __init__(self, cartan: CartanMatrix, k_set: frozenset[int],
-                 layers: list[list[CosetEntry]], max_length: int | None,
-                 vector_index: dict[tuple[int, ...], CosetEntry]):
+                 layers: list[list[CosetEntry]], max_length: int | None):
         self.cartan = cartan
         self.k_set = k_set
         self.layers = layers
         self.max_length = max_length
-        self._by_vector = vector_index
+        self._by_vector = {e.vector: e for layer in layers for e in layer}
         # memos of characteristics.py: per target word (and per ancestor of
         # one) its factor masks and columns; Schubert-basis vectors per
         # descending monomial key, a pair's row of constants being the
@@ -236,7 +234,6 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
 
     v0 = tuple(1 if j + 1 in k_set else 0 for j in range(n))
     root = CosetEntry(0, 1, (), v0)
-    by_vector: dict[tuple[int, ...], CosetEntry] = {v0: root}
     layers: list[list[CosetEntry]] = [[root]]
     frontier = [root]
     total = 1
@@ -267,10 +264,9 @@ def enumerate_cosets(cartan: CartanMatrix, k_set, max_length: int | None = None,
                                       parent))
         if nxt:
             layers.append(nxt)
-            by_vector.update((e.vector, e) for e in nxt)
             total += len(nxt)
         frontier = nxt
-    return CosetTable(cartan, k_set, layers, truncated, by_vector)
+    return CosetTable(cartan, k_set, layers, truncated)
 
 
 def top_element(table: CosetTable) -> tuple[tuple[int, ...], int]:
@@ -281,10 +277,11 @@ def top_element(table: CosetTable) -> tuple[tuple[int, ...], int]:
 
 
 def grassmannian_shape(table: CosetTable) -> tuple[int, int]:
-    """(k, n-k) for a type-A table with singleton K; errors otherwise."""
+    """(k, n-k) for a type-A table with singleton K; errors otherwise.  A_n is
+    the path: row i of ``nonzero_rows`` is -1, 2, -1 at i-1, i, i+1, clipped."""
     n = table.cartan.rank
-    expected = builtin_cartan("A", n)
-    if table.cartan.entries != expected.entries:
+    if any(row != tuple((j, c) for j, c in ((i - 1, -1), (i, 2), (i + 1, -1)) if 0 <= j < n)
+           for i, row in enumerate(table.cartan.nonzero_rows)):
         raise NotTypeA("table was not built from a type-A Cartan matrix")
     if len(table.k_set) != 1:
         raise NotSingletonK(f"K = {sorted(table.k_set)} is not a single node")

@@ -807,3 +807,78 @@ def test_reader_closing_the_pipe_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+def test_broken_pipe_ends_quietly_in_process(monkeypatch, capsys, tmp_path):
+    # the branch test_reader_closing_the_pipe_ends_quietly reaches in a child
+    # process, taken here by a stdout whose reader has gone
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Gone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "lr", "--lam", "1", "--mu", "1", "--nu", "2"])
+    finally:
+        os.close(fd)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_package_attributes_load_their_modules_on_first_use():
+    code = ("import sys, flagcalc\n"
+            "assert 'flagcalc.intlinalg' not in sys.modules\n"
+            "assert flagcalc.intlinalg is sys.modules['flagcalc.intlinalg']\n"
+            "assert set(flagcalc.__all__) <= set(dir(flagcalc))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # the same two hooks in this process, where the modules are loaded already
+    assert flagcalc.__getattr__("intlinalg") is sys.modules["flagcalc.intlinalg"]
+    assert set(flagcalc.__all__) <= set(dir(flagcalc))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["char", "--w", "(2,1)", "--classes", "[1,,2]"],
+     "cannot parse word '[1,,2]': separate letters by commas"),
+    (["char", "--w", "(1,1)", "--classes", "[2,]"],
+     "cannot parse word '[2,]': separate letters by commas"),
+    (["char", "--w", "(1,1)", "--classes", "[,2]"],
+     "cannot parse word '[,2]': separate letters by commas"),
+    (["multiply", "--u", "[2,]", "--v", "[2]"],
+     "cannot parse word '[2,]': separate letters by commas"),
+    (["char", "--w", "(2,1)", "--classes", "part:1,,1"], "cannot parse class 'part:1,,1'"),
+    (["char", "--w", "(1,1)", "--classes", "part:,"], "cannot parse class 'part:,'"),
+], ids=["word-inner", "word-trailing", "word-leading", "single-class", "part-inner",
+        "part-blank"])
+def test_an_empty_item_in_a_class_list_is_usage_error(runner, args, message):
+    # each used to drop the empty item: '[1,,2]' answered as [1,2]
+    result = runner.invoke(main, [args[0], "--group", "A3", "--k", "2", *args[1:]])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lam", ["2,,1", "2,1,", ",2,1"])
+def test_an_empty_part_is_usage_error(runner, lam):
+    result = runner.invoke(main, ["oracle", "lr", "--lam", lam, "--mu", "1", "--nu", "3,1"])
+    assert result.exit_code == 2
+    assert result.stderr.endswith(f"error: cannot parse partition '{lam}'\n")
+
+
+@pytest.mark.parametrize("args, stdout", [
+    (["char", "--group", "A3", "--k", "2", "--w", "(1,1)", "--classes", "[2] [] [ ]"],
+     "[2] [] [ ] = 1\n"),
+    (["oracle", "lr", "--lam", "", "--mu", "2,1", "--nu", "2,1"], "1\n"),
+])
+def test_the_blank_word_and_the_empty_partition_stay_valid(runner, args, stdout):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stdout == stdout

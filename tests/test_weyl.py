@@ -4,10 +4,13 @@ import re
 import pytest
 
 from flagcalc import builtin_cartan, element_of_word, enumerate_cosets, simple_reflection, top_element
+from flagcalc import cartan
+from flagcalc.cartan import from_json
 from flagcalc.characteristics import structure_matrix
-from flagcalc.errors import (EmptyK, IndexOutOfRange, NotFound, OutOfRange, ResourceLimit,
-                             TruncatedTable)
-from flagcalc.weyl import CosetEntry, _apply_gen_vec, identity_matrix, mat_mul, mat_vec
+from flagcalc.errors import (EmptyK, IndexOutOfRange, NotFound, NotTypeA, OutOfRange,
+                             ResourceLimit, TruncatedTable)
+from flagcalc.weyl import (CosetEntry, _apply_gen_vec, grassmannian_shape, identity_matrix,
+                           mat_mul, mat_vec)
 
 from conftest import load_data
 from test_intlinalg import int_det
@@ -350,3 +353,41 @@ def test_coset_entry_compares_and_hashes_on_index_and_word_not_vector():
         assert other == entry and hash(other) == hash(entry) and {entry: 1}[other] == 1
     assert CosetEntry(entry.m, entry.i, entry.word[::-1], entry.vector) != entry
     assert CosetEntry(entry.m, entry.i + 1, entry.word, entry.vector) != entry
+
+
+def test_coset_entry_repr():
+    table = enumerate_cosets(builtin_cartan("A", 3), {2})
+    assert repr(table.entry(0, 1)) == "CosetEntry(m=0, i=1, word=())"
+    assert repr(table.entry(2, 1)) == "CosetEntry(m=2, i=1, word=(1, 2))"
+
+
+_BUILTIN_UP_TO_RANK_8 = [
+    (series, rank) for series, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in range(low, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+_UNLABELLED = {
+    "A1xA1": [[2, 0], [0, 2]],
+    "A3-renumbered": [[2, 0, -1], [0, 2, -1], [-1, -1, 2]],
+    "A5": [[2 if i == j else -(abs(i - j) == 1) for j in range(5)] for i in range(5)],
+}
+
+
+@pytest.mark.parametrize("cm", [builtin_cartan(*g) for g in _BUILTIN_UP_TO_RANK_8]
+                         + [from_json({"entries": e}) for e in _UNLABELLED.values()],
+                         ids=[f"{s}{r}" for s, r in _BUILTIN_UP_TO_RANK_8] + list(_UNLABELLED))
+def test_type_a_check_is_equality_with_the_builtin_matrix(cm):
+    # the check reads the rows of the path graph; it used to compare the
+    # whole matrix with builtin_cartan("A", n), and its verdicts must agree
+    table = enumerate_cosets(cm, {1}, max_length=0)
+    if cm.entries == builtin_cartan("A", cm.rank).entries:
+        assert grassmannian_shape(table) == (1, cm.rank)
+    else:
+        with pytest.raises(NotTypeA, match="not built from a type-A Cartan matrix"):
+            grassmannian_shape(table)
+
+
+def test_type_a_check_builds_no_matrix(g94, monkeypatch):
+    # it used to build and validate A_n on every call, about 250 ms on A1100
+    def refuse(entries):
+        raise AssertionError("grassmannian_shape validated a matrix")
+    monkeypatch.setattr(cartan, "validate", refuse)
+    assert grassmannian_shape(g94) == (4, 5)
