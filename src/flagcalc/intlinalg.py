@@ -14,15 +14,25 @@ first time a caller reads it, so unread transforms cost nothing.
 
 The elimination does only the work that can change the matrix: each
 operation at step t touches only the trailing block (rows and columns
->= t), a column operation after a cleared pivot column updates one entry,
-and the check that the pivot divides the rest of the block is skipped for
-a unit pivot.  The replay keeps its rows sparse until the end.  The log is
-the same, entry for entry, as the plain elimination on the whole matrix.
+>= t), the pivot search looks for the first unit with ``list`` searches and
+scans for a minimal entry only in a block without one, a row operation
+visits only the pivot row's nonzeros, a column operation after a cleared
+pivot column updates one entry, and the check that the pivot divides the
+rest of the block is skipped for a unit pivot.  The log is the same, entry
+for entry, as the plain elimination on the whole matrix.
+
+The matrices met here are mostly zero (the largest of the A4 full-flag
+presentation, up to 425 x 285, are 2.5-6 % nonzero and their P^-1 6-10 %),
+so the replay keeps its rows sparse: ``p``, ``q`` and ``q_inv`` are made
+dense at the end, and ``p_inv``, read only to write vectors through it,
+stays a list of sparse rows.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+
+from .errors import OutOfRange
 
 
 def _combine(pairs, width: int) -> list[int]:
@@ -34,7 +44,16 @@ def _combine(pairs, width: int) -> list[int]:
     return out
 
 
-def _replay(n: int, ops, inverse: bool) -> list[list[int]]:
+def _combine_sparse(pairs, width: int) -> list[int]:
+    """The sum of c * row over (c, row) pairs of sparse ``{column: entry}`` rows."""
+    out = [0] * width
+    for c, row in pairs:
+        for j, v in row.items():
+            out[j] += c * v
+    return out
+
+
+def _replay(n: int, ops, inverse: bool) -> list[dict[int, int]]:
     """Apply a log of elementary row operations to the n x n identity.
 
     ``("axpy", i, j, k)`` is row_i += k * row_j; ``("swap", i, j)`` and
@@ -44,10 +63,10 @@ def _replay(n: int, ops, inverse: bool) -> list[list[int]]:
     inverse of its product.
 
     The transforms are mostly zero (0.4-25 % nonzero for the Smith forms of
-    over 100 rows in the A4 full-flag presentation), so while the log is
-    applied each row is a ``{column: entry}`` dict of its nonzero entries
-    and an axpy costs the size of its source row; the rows are made dense
-    once, at the end.
+    over 100 rows in the A4 full-flag presentation), so each row is a
+    ``{column: entry}`` dict of its nonzero entries and an axpy costs the
+    size of its source row.  The rows are returned sparse; a caller that
+    needs them dense makes them so once (``_dense``).
     """
     x = [{i: 1} for i in range(n)]
     for op in ops:
@@ -68,12 +87,26 @@ def _replay(n: int, ops, inverse: bool) -> list[list[int]]:
             x[i], x[j] = x[j], x[i]
         else:
             x[op[1]] = {c: -v for c, v in x[op[1]].items()}
+    return x
+
+
+def _dense(rows, n: int) -> list[list[int]]:
+    """Sparse ``{column: entry}`` rows as dense rows of width n."""
     out = []
-    for row in x:
+    for row in rows:
         dense = [0] * n
         for c, v in row.items():
             dense[c] = v
         out.append(dense)
+    return out
+
+
+def _transpose(rows, n: int) -> list[dict[int, int]]:
+    """The transpose of sparse rows with n columns, as n sparse rows."""
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][i] = v
     return out
 
 
@@ -84,7 +117,9 @@ class SNFResult:
     of the elimination's row and column operations (see ``_replay``).  ``p``, ``p_inv``,
     ``q`` and ``q_inv`` are each replayed from their log once, on first read.  Column
     operations act on Q from the right, so Q (as its transpose) and Q^-1 are row replays
-    of the column log, and P^-1 is the transpose of the inverse replay.
+    of the column log, and P^-1 is the transpose of the inverse replay.  ``p``, ``q``
+    and ``q_inv`` are dense rows; ``p_inv`` is kept as sparse ``{column: entry}`` rows
+    (read them with ``_combine_sparse``).
     """
 
     def __init__(self, d: list[list[int]], row_ops: list[tuple], col_ops: list[tuple]):
@@ -102,6 +137,8 @@ class SNFResult:
         """
         if not self.d:
             return not any(vec)
+        if len(vec) != self.cols:
+            raise OutOfRange(f"vector has {len(vec)} entries, expected {self.cols}")
         y = _combine(zip(vec, self.q), self.cols)
         rank = self.rank
         return (all(y[j] % self.diagonal[j] == 0 for j in range(rank))
@@ -113,60 +150,89 @@ class SNFResult:
 
     @cached_property
     def p(self) -> list[list[int]]:
-        return _replay(len(self.d), self.row_ops, False)
+        return _dense(_replay(len(self.d), self.row_ops, False), len(self.d))
 
     @cached_property
-    def p_inv(self) -> list[list[int]]:
-        return [list(c) for c in zip(*_replay(len(self.d), self.row_ops, True))]
+    def p_inv(self) -> list[dict[int, int]]:
+        return _transpose(_replay(len(self.d), self.row_ops, True), len(self.d))
 
     @cached_property
     def q(self) -> list[list[int]]:
-        return [list(c) for c in zip(*_replay(self.cols, self.col_ops, False))]
+        return [list(c) for c in zip(*_dense(_replay(self.cols, self.col_ops, False), self.cols))]
 
     @cached_property
     def q_inv(self) -> list[list[int]]:
-        return _replay(self.cols, self.col_ops, True)
+        return _dense(_replay(self.cols, self.col_ops, True), self.cols)
+
+
+def _first_unit(m, t: int, rows: int):
+    """(i, j) of the first 1 or -1 at or past (t, t) in row-major order, or None."""
+    for i in range(t, rows):
+        tail = m[i][t:]
+        if 1 in tail:
+            j = tail.index(1)
+            if -1 in tail[:j]:
+                j = tail.index(-1)
+            return i, t + j
+        if -1 in tail:
+            return i, t + tail.index(-1)
+    return None
+
+
+def _minimal_entry(m, t: int, rows: int, cols: int):
+    """(i, j) of the first entry of minimal nonzero absolute value in the
+    trailing block, in row-major order, or None when the block is zero."""
+    best = None
+    for i in range(t, rows):
+        r = m[i]
+        for j in range(t, cols):
+            v = abs(r[j])
+            if v and (best is None or v < best[0]):
+                best = (v, i, j)
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(mat) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Pivoting picks the minimal nonzero absolute value of the remaining block;
-    the diagonal is normalized positive with each entry dividing the next
-    (the classical minimal-pivot elimination, Cohen GTM 138, section 2.4.4).
+    Pivoting picks the minimal nonzero absolute value of the remaining block,
+    the first in row-major order on ties; the diagonal is normalized positive
+    with each entry dividing the next (the classical minimal-pivot
+    elimination, Cohen GTM 138, section 2.4.4).  Rows of unequal length are
+    refused (``OutOfRange``).
 
     At step t every entry outside the trailing block (rows and columns
     >= t) is zero apart from the finished diagonal, so each operation
-    touches only that block.  Once the row phase has cleared column t below
-    the pivot, a column operation col_j += k * col_t changes only m[t][j].
-    A unit pivot divides everything, so the check that the pivot divides
-    the rest of the block runs only for a pivot above 1.  None of this
-    changes which operations are logged.
+    touches only that block.  No entry is smaller than a unit, so the pivot
+    is the first 1 or -1 of the block in row-major order, found row by row
+    with ``in`` and ``list.index``; only a block without a unit is scanned
+    for its minimal entry.  The row phase updates each row through the
+    pivot row's nonzero (column, entry) pairs, listed once per pivot.  Once
+    the row phase has cleared column t below the pivot, a column operation
+    col_j += k * col_t changes only m[t][j].  A unit pivot divides
+    everything, so the check that the pivot divides the rest of the block
+    runs only for a pivot above 1.  None of this changes which operations
+    are logged.
     """
     m = [list(r) for r in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    for i, r in enumerate(m):
+        if len(r) != cols:
+            raise OutOfRange(f"row {i} has {len(r)} entries, expected {cols}")
     row_ops: list[tuple] = []
     col_ops: list[tuple] = []
 
     for t in range(min(rows, cols)):
         while True:
-            # minimal nonzero pivot in the trailing block; nothing beats a
-            # unit and ties keep the first in row-major order, so the scan
-            # stops at the first unit
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    v = abs(m[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-                        if v == 1:
-                            break
-                if best is not None and best[0] == 1:
-                    break
+            # the first unit in row-major order is the pivot that the
+            # minimal-entry scan would keep; only a block without one is scanned
+            best = _first_unit(m, t, rows)
+            if best is None:
+                best = _minimal_entry(m, t, rows, cols)
             if best is None:
                 break
-            _, bi, bj = best
+            bi, bj = best
             if bi != t:
                 m[t], m[bi] = m[bi], m[t]
                 row_ops.append(("swap", t, bi))
@@ -180,13 +246,15 @@ def smith_normal_form(mat) -> SNFResult:
                 top[t:] = [-a for a in top[t:]]
                 row_ops.append(("neg", t))
             pivot = top[t]
-            tail = top[t:]
+            # the pivot row's nonzeros, fixed for the whole row phase
+            support = [(j, a) for j, a in enumerate(top[t:], t) if a]
             dirty = False
             for i in range(t + 1, rows):
                 r = m[i]
                 if r[t]:
                     k = -(r[t] // pivot)
-                    r[t:] = [a + k * b for a, b in zip(r[t:], tail)]
+                    for j, a in support:
+                        r[j] += k * a
                     row_ops.append(("axpy", i, t, k))
                     if r[t]:
                         dirty = True

@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .characteristics import monomial_vector
 from .errors import NonSurjective, OutOfRange
-from .intlinalg import SNFResult, _combine, smith_normal_form
+from .intlinalg import SNFResult, _combine, _combine_sparse, smith_normal_form
 from .weyl import CosetEntry, CosetTable
 
 
@@ -184,10 +184,12 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
     kernel lattice (the trailing rows of P).  Each multiple z of a
     lower-degree relation is written in that basis as z @ P^-1, whose
     leading ``rank`` entries must vanish and whose trailing entries are its
-    unique kernel coordinates (no lattice solve is needed).  The quotient's
-    minimal generators (one per nontrivial invariant factor of the
-    inclusion, found through a second Smith normal form) are adjoined as
-    new relations.
+    unique kernel coordinates (no lattice solve is needed).  z is sparse
+    and so is P^-1, which the Smith form keeps as ``{column: entry}`` rows:
+    the product visits only the rows z names and only their nonzeros.  The
+    quotient's minimal generators (one per nontrivial invariant factor of
+    the inclusion, found through a second Smith normal form) are adjoined
+    as new relations.
     """
     max_degree = _bound(table, max_degree, "find_relations")
     degrees = gens.degrees
@@ -217,7 +219,7 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
             p_inv = snf.p_inv
             coords = []
             for z in old:
-                y = _combine(((c, p_inv[k]) for k, c in z), b)
+                y = _combine_sparse(((c, p_inv[k]) for k, c in z), b)
                 if any(y[:rank]):
                     raise NonSurjective(
                         f"degree-{m} relation multiple escapes the kernel lattice"

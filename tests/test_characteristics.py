@@ -556,7 +556,7 @@ def _positive_coroots(cm):
 
 
 _DUAL_RULE = ("the engine follows the Chevalley rule with root coefficients <omega_k, beta> "
-              "(the Langlands-dual rule) outside simply-laced types; ROADMAP item 5")
+              "(the Langlands-dual rule) outside simply-laced types; ROADMAP item 6")
 
 
 @pytest.mark.parametrize("series, rank", [

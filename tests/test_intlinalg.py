@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from flagcalc import builtin_cartan, enumerate_cosets, presentation
+from flagcalc.errors import OutOfRange
 from flagcalc.intlinalg import smith_normal_form
 
 from conftest import hnf_rows, lattice_contains
@@ -27,6 +30,11 @@ def int_det(a) -> int:
             m[r][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _dense(sparse_rows, n):
+    """Sparse ``{column: entry}`` rows (the form ``p_inv`` is kept in) made dense."""
+    return [[row.get(j, 0) for j in range(n)] for row in sparse_rows]
 
 
 def _mat_mul(a, b):
@@ -65,7 +73,7 @@ def test_snf_random_properties():
         eye_r = [[int(i == j) for j in range(rows)] for i in range(rows)]
         eye_c = [[int(i == j) for j in range(cols)] for i in range(cols)]
         assert _mat_mul(res.q, res.q_inv) == eye_c
-        assert _mat_mul(res.p, res.p_inv) == eye_r
+        assert _mat_mul(res.p, _dense(res.p_inv, rows)) == eye_r
         diag = res.diagonal
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
@@ -146,6 +154,17 @@ def test_non_member_detected():
     assert res.contains([4, -3, 1])
     assert not res.contains([2, 1, 0])
     assert res.contains([0, 0, 0])
+
+
+def test_malformed_shapes_refused():
+    # a vector of the wrong width is neither a member nor a non-member, and
+    # a ragged matrix is refused before any elimination
+    res = smith_normal_form([[2, 0], [0, 3]])
+    for vec in ([2], [2, 0, 5]):
+        with pytest.raises(OutOfRange, match="expected 2"):
+            res.contains(vec)
+    with pytest.raises(OutOfRange, match="row 1 has 1 entries, expected 2"):
+        smith_normal_form([[1, 2], [3]])
 
 
 def test_empty_forms():
@@ -303,14 +322,24 @@ def _assert_matches_reference(mat, res=None):
         res = smith_normal_form(mat)
     assert (res.d, res.row_ops, res.col_ops) == (d, row_ops, col_ops)
     assert res.p == _reference_replay(rows, row_ops, False)
-    assert res.p_inv == [list(c) for c in zip(*_reference_replay(rows, row_ops, True))]
+    p_inv = [list(c) for c in zip(*_reference_replay(rows, row_ops, True))]
+    assert _dense(res.p_inv, rows) == p_inv
     assert res.q == [list(c) for c in zip(*_reference_replay(cols, col_ops, False))]
     assert res.q_inv == _reference_replay(cols, col_ops, True)
 
 
 def test_snf_matches_full_block_reference():
     rng = random.Random(1105)
-    mats = [[], [[]], [[], []], [[0, 0, 0]], [[6, 10], [15, 0]]]
+    mats = [[], [[]], [[], []], [[0, 0, 0]], [[6, 10], [15, 0]],
+            # the pivot search: a row's first unit is a -1 left of a 1
+            [[2, 4, 6], [3, -1, 1]],
+            # the first unit sits in a later row than a smaller non-unit entry
+            [[4, 2, 6], [3, 5, 1]],
+            # no unit: minima tied across rows, the first in row-major order wins
+            [[4, 2, 6], [6, -2, 4], [2, 8, 2]],
+            # after a unit pivot the unit at (0, 0) lies left of column 1 and
+            # the trailing block [[2, 2], [2, 5]] holds no unit
+            [[1, 2, 3], [2, 6, 8], [3, 8, 14]]]
     for _ in range(600):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         scale = rng.choice([1, 1, 2, 3, 6])  # 2, 3 and 6 force pivots above 1

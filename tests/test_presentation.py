@@ -237,6 +237,7 @@ def _borel_ideal(gens, n):
 @pytest.mark.parametrize("rank,bound,degrees", [
     (3, 6, [2, 3, 4]),  # A3/T at full degree
     (4, 6, [2, 3, 4, 5]),  # A4/T through degree 6
+    (5, 6, [2, 3, 4, 5, 6]),  # A5/T through degree 6
 ])
 def test_full_flag_relations_match_borel(rank, bound, degrees):
     table = enumerate_cosets(builtin_cartan("A", rank), set(range(1, rank + 1)))
