@@ -28,12 +28,12 @@ structure constant c^w_{u,v} is the functional of w's word on the product
 of the two mask sums, x_a x_b = x_{a|b} times one multiplier per position
 of a & b.  The row of constants of a pair {u, v} is the Schubert-basis
 vector of the monomial s_u s_v, memoized per table among the monomial
-vectors.  A longer monomial is folded one factor at a time from its longest
-memoized prefix, and ``characteristic``, ``multiply_schubert`` and the
-presentation's expansion matrices all read from the same rows.  Per target
-word and per ancestor of one the table memoizes the nonzero entries of A_w's
-columns and every class's masks as bitmasks, each built from the parent
-word's in the coset tree (``_prepend_letter``, ``class_factor_masks``).
+vectors.  A longer monomial is folded one factor at a time, each prefix
+memoized on the shorter prefix's memo node and the next factor, and all the
+readers of products read from the same rows.  The entry of each target word
+and of each ancestor of one memoizes the nonzero entries of A_w's columns
+and every class's masks as bitmasks, each built from the parent word's in
+the coset tree (``_prepend_letter``, ``class_factor_masks``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cartan import CartanMatrix
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, NotFound
 from .weyl import CosetEntry, CosetTable, _apply_gen_vec, _letters
 
 
@@ -194,55 +194,45 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     complexes in Coxeter groups", Adv. Math. 184 (2004)); the subsets are the
     L(u, w) of Duan's product formula (Duan, "Multiplicative rule of Schubert
     classes", Invent. Math. 159 (2005)).  The ``parent`` chain is walked in a loop
-    and every ancestor's masks are memoized; Python recursion only follows
-    u -> s_g u, so its depth is at most l(u).
+    and every ancestor's masks are memoized on it, in ``masks`` by (m, i);
+    Python recursion only follows u -> s_g u, so its depth is at most l(u).
     """
-    cache = _word_memo(table, w.word)["masks"]
+    masks = w.masks
+    if masks is None:
+        masks = w.masks = {}
     key = (u.m, u.i)
-    got = cache.get(key)
+    got = masks.get(key)
     if got is not None:
         return got
     t = u.m
-    if t == 0:
-        got = cache[key] = (0,)
+    if w.m <= t or not t:  # u = 1 has the empty subset; l(w) = l(u) the full one if w is u
+        got = masks[key] = ((1 << t) - 1,) if not t or (w.m, w.i) == key else ()
         return got
-    if w.m <= t:
-        got = cache[key] = ((1 << t) - 1,) if (w.m, w.i) == key else ()
-        return got
-    cartan = table.cartan
-    by_vector = table._by_vector
+    cartan, by_vector = table.cartan, table._by_vector
     # walk down to the first ancestor whose masks are known or of length l(u)
-    chain = [(w, cache)]
-    node = w
+    chain, node = [w], w
     while True:
         node = node.parent
         if node.m == t:
             got = ((1 << t) - 1,) if (node.m, node.i) == key else ()
             break
-        node_cache = _word_memo(table, node.word)["masks"]
-        got = node_cache.get(key)
+        if node.masks is None:
+            node.masks = {}
+        got = node.masks.get(key)
         if got is not None:
             break
-        chain.append((node, node_cache))
+        chain.append(node)
     # and back up, each word's masks from its parent's
     uvec = u.vector
-    for node, node_cache in reversed(chain):
+    for node in reversed(chain):
         g = node.word[0]
         out = [x << 1 for x in got]
         if uvec[g - 1] < 0:
             su = by_vector[_apply_gen_vec(cartan, g, uvec)]
             out += [x << 1 | 1 for x in class_factor_masks(table, node.parent, su)]
             out.sort()
-        got = node_cache[key] = tuple(out)
+        got = node.masks[key] = tuple(out)
     return got
-
-
-def _word_memo(table: CosetTable, word: tuple[int, ...]) -> dict:
-    """The table's memo for one target word, created on first use."""
-    memo = table._char_cache.get(word)
-    if memo is None:
-        memo = table._char_cache[word] = {"masks": {}, "columns": None}
-    return memo
 
 
 def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntry) -> int:
@@ -261,7 +251,7 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
         for b in masks_v:
             states = groups.setdefault(a & b, {})
             states[a | b] = states.get(a | b, 0) + 1
-    columns = table._char_cache[w.word]["columns"] or _word_columns(table, w)
+    columns = w.columns or _word_columns(table, w)
     full = (1 << w.m) - 1
     total = 0
     for shared, states in groups.items():
@@ -295,32 +285,44 @@ def _word_columns(table: CosetTable, w: CosetEntry) -> list:
     """A_w's memoized columns: the parent chain is walked down in a loop to the
     first word with columns (the root's are empty), then back up, each word's
     columns from its parent's, as in ``class_factor_masks``."""
-    chain = []
-    node = w
-    while node.m and _word_memo(table, node.word)["columns"] is None:
+    chain, node = [], w
+    while node.m and node.columns is None:
         chain.append(node)
         node = node.parent
-    columns = table._char_cache[node.word]["columns"] if node.m else []
+    columns = node.columns if node.m else []
     for node in reversed(chain):
-        columns = table._char_cache[node.word]["columns"] = _prepend_letter(
-            table.cartan, node.word, columns)
+        columns = node.columns = _prepend_letter(table.cartan, node.word, columns)
     return columns
 
 
-def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> dict:
-    """{(m, i): c^w_{u,v}} over layer l(u) + l(v), memoized as the vector of s_u s_v."""
+class _Prefix:
+    """A monomial prefix's memo node: its vector.  Longer prefixes are keyed
+    on the node, which hashes by identity and is held by the memo itself."""
+
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: dict):
+        self.vector = vector
+
+
+def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> _Prefix:
+    """The memo node of s_u s_v, its vector {(m, i): c^w_{u,v}} over layer l(u) + l(v)."""
     key = ((u.m, u.i), (v.m, v.i))
     if key[0] < key[1]:
         key = (key[1], key[0])
-    row = table._vectors.get(key)
-    if row is None:
-        row = {}
-        for w in table.layer(u.m + v.m):
-            c = _pair_constant(table, w, u, v)
-            if c:
-                row[(w.m, w.i)] = c
-        table._vectors[key] = row
-    return row
+    node = table._vectors.get(key)
+    if node is None:
+        node = table._vectors[key] = _Prefix({(w.m, w.i): c for w in table.layer(u.m + v.m)
+                                              if (c := _pair_constant(table, w, u, v))})
+    return node
+
+
+def _check_entries(table: CosetTable, entries) -> None:
+    """NotFound for a class not the table's entry at its (m, i), in word or orbit point."""
+    for u in entries:
+        own = table.entry(u.m, u.i)
+        if own is not u and (own.word != u.word or own.vector != u.vector):
+            raise NotFound(f"{u!r} is not an entry of this table")
 
 
 def monomial_vector(table: CosetTable, classes) -> dict:
@@ -332,42 +334,37 @@ def monomial_vector(table: CosetTable, classes) -> dict:
     its work.  The returned dict is the memo entry: do not mutate it.
     """
     factors = sorted((u for u in classes if u.m > 0), key=lambda u: (u.m, u.i), reverse=True)
-    if not factors:
-        return {(0, 1): 1}
-    keys = tuple((u.m, u.i) for u in factors)
-    if len(keys) == 1:
-        return {keys[0]: 1}
-    memo = table._vectors
-    done = len(keys)
-    while done > 2 and keys[:done] not in memo:
-        done -= 1
-    vec = memo[keys[:done]] if done > 2 else _row(table, factors[0], factors[1])
-    for t in range(done, len(keys)):
-        g = factors[t]
-        nxt: dict = {}
-        for (m, i), a in vec.items():
-            for idx, c in _row(table, table.entry(m, i), g).items():
-                nxt[idx] = nxt.get(idx, 0) + a * c
-        vec = {idx: c for idx, c in nxt.items() if c}
-        memo[keys[:t + 1]] = vec
-    return vec
+    _check_entries(table, factors)
+    if len(factors) < 2:
+        return {(u.m, u.i): 1 for u in factors} or {(0, 1): 1}
+    node = _row(table, factors[0], factors[1])
+    for g in factors[2:]:
+        key = (node, g.m, g.i)
+        nxt = table._vectors.get(key)
+        if nxt is None:
+            vec: dict = {}
+            for (m, i), a in node.vector.items():
+                for idx, c in _row(table, table.entry(m, i), g).vector.items():
+                    vec[idx] = vec.get(idx, 0) + a * c
+            nxt = table._vectors[key] = _Prefix({idx: c for idx, c in vec.items() if c})
+        node = nxt
+    return node.vector
 
 
 def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
     """Coefficient of s_w in the product of the given Schubert classes.
 
-    ``classes`` is a list of coset entries u_1..u_k from the same table with
-    total length equal to l(w); zero-length (identity) factors are allowed
-    and ignored.
+    ``classes`` is a list of coset entries u_1..u_k of total length l(w);
+    zero-length (identity) factors are allowed and ignored.  w and every
+    class must be entries of this table (else NotFound).
     """
     total = sum(u.m for u in classes)
     if total != w.m:
-        raise DegreeMismatch(
-            f"classes have total degree {total}, target has length {w.m}"
-        )
+        raise DegreeMismatch(f"classes have total degree {total}, target has length {w.m}")
+    _check_entries(table, (w,))
     return monomial_vector(table, classes).get((w.m, w.i), 0)
 
 
 def multiply_schubert(table: CosetTable, u: CosetEntry, v: CosetEntry) -> SchubertExpansion:
     """Full expansion s_u * s_v = sum of c^w_{u,v} s_w over length l(u)+l(v)."""
-    return SchubertExpansion(u.m + v.m, tuple(sorted(_row(table, u, v).items())))
+    return SchubertExpansion(u.m + v.m, tuple(sorted(monomial_vector(table, (u, v)).items())))

@@ -42,6 +42,9 @@ class GeneratorSet:
     def __hash__(self):
         return hash((self.entries,))
 
+    def __repr__(self):
+        return f"GeneratorSet({self.entries!r})"
+
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -102,15 +102,17 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 
 class CosetEntry:
     """One minimal coset representative: index (m, i), minimized word, orbit point,
-    and ``parent``, the entry of ``word[1:]`` (None at the root)."""
+    and ``parent``, the entry of ``word[1:]`` (None at the root).  ``masks`` and
+    ``columns`` are the word's product memo (see characteristics.py), None until used."""
 
-    __slots__ = ("m", "i", "word", "vector", "parent")
+    __slots__ = ("m", "i", "word", "vector", "parent", "masks", "columns")
 
     def __init__(self, m: int, i: int, word: tuple[int, ...], vector: tuple[int, ...],
                  parent: CosetEntry | None = None):
         self.m, self.i, self.word, self.vector, self.parent = m, i, word, vector, parent
+        self.masks = self.columns = None
 
-    def __eq__(self, other):  # equality and hashing never read the orbit point or parent
+    def __eq__(self, other):  # equality and hashing never read the orbit point, parent or memo
         return (type(other) is CosetEntry and other.m == self.m and other.i == self.i
                 and other.word == self.word)
 
@@ -137,26 +139,23 @@ class CosetTable:
         self.layers = layers
         self.max_length = max_length
         self._by_vector = {e.vector: e for layer in layers for e in layer}
-        # memos of characteristics.py: per target word (and per ancestor of
-        # one) its factor masks and columns; Schubert-basis vectors per
-        # descending monomial key, a pair's row of constants being the
-        # two-factor vector.  Memo of presentation.py: (expansion matrix,
-        # Smith form) per (generator entries, degree)
-        self._char_cache: dict = {}
+        # memos besides each entry's masks and columns: each monomial prefix's
+        # node (characteristics.py); each degree record (presentation.py)
         self._vectors: dict = {}
         self._degrees: dict = {}
 
     def clear_caches(self) -> None:
         """Empty the memos that queries fill; later queries rebuild them."""
-        self._char_cache.clear()
+        for e in self.entries():
+            e.masks = e.columns = None
         self._vectors.clear()
         self._degrees.clear()
 
     def memo_sizes(self) -> dict[str, int]:
         """Entry counts of the memos that queries fill (see ``clear_caches``)."""
         return {
-            "target_words": len(self._char_cache),
-            "mask_entries": sum(len(memo["masks"]) for memo in self._char_cache.values()),
+            "target_words": sum(1 for e in self.entries() if e.masks or e.columns),
+            "mask_entries": sum(len(e.masks) for e in self.entries() if e.masks),
             "monomial_vectors": len(self._vectors),
             "degree_records": len(self._degrees),
         }

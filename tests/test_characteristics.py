@@ -1,6 +1,9 @@
+import copy
 import hashlib
+import pickle
 import random
 import sys
+import tracemalloc
 from operator import add
 
 import pytest
@@ -12,9 +15,10 @@ from flagcalc.characteristics import (
     _word_columns,
     characteristic,
     class_factor_masks,
+    monomial_vector,
     multiply_schubert,
 )
-from flagcalc.errors import DegreeMismatch, IndexOutOfRange, TruncatedTable
+from flagcalc.errors import DegreeMismatch, IndexOutOfRange, NotFound, TruncatedTable
 from flagcalc.weyl import element_of_word
 
 from conftest import poly_mul
@@ -86,7 +90,7 @@ def test_tree_built_columns_match_structure_matrix(series, rank, k_set, order):
         m = w.m
         columns = _word_columns(table, w)
         if m:
-            assert table._char_cache[w.word]["columns"] is columns
+            assert w.columns is columns
         rows = [[0] * m for _ in range(m)]
         for t, column in enumerate(columns):
             for r, x in column:
@@ -527,6 +531,84 @@ def test_long_word_characteristic(n):
     assert characteristic(table, top, [h] * n) == 1
 
 
+def test_long_word_memo_size():
+    """The memo that h^1100 leaves on CP^1100 stays below 8 MB.
+
+    Each prefix h^t is keyed on the node of h^(t-1) and the factor, not on
+    a t-tuple of factor keys.  The columns of the 1100 nested words are the
+    quadratic rest: about 5 MB.
+    """
+    table = enumerate_cosets(builtin_cartan("A", 1100), {1})
+    h = table.entry(1, 1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert characteristic(table, table.entry(1100, 1), [h] * 1100) == 1
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held < 8_000_000
+    assert table.memo_sizes()["monomial_vectors"] == 2 * 1100 - 3
+
+
+@pytest.mark.parametrize("n", [3, 30])
+def test_monomial_prefixes_are_shared(n):
+    """After h^n on CP^n, h^(n-1) is a memoized prefix: asking for it against
+    (n-1, 1) adds no monomial vector."""
+    table = enumerate_cosets(builtin_cartan("A", n), {1})
+    h = table.entry(1, 1)
+    assert characteristic(table, table.entry(n, 1), [h] * n) == 1
+    sizes = table.memo_sizes()
+    assert characteristic(table, table.entry(n - 1, 1), [h] * (n - 1)) == 1
+    assert table.memo_sizes() == sizes
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_table_answers_from_its_own_memo(clone):
+    """A copy of a queried table brings its prefix nodes along, so the keys
+    of the longer prefixes still find them: asking again adds nothing."""
+    table = enumerate_cosets(builtin_cartan("A", 4), {1, 2, 3, 4})
+    classes = [table.entry(1, 1)] * 4 + [table.entry(1, 3)] * 3 + [table.entry(1, 4)] * 3
+    top = table.entry(10, 1)
+    value = characteristic(table, top, classes)
+    sizes = table.memo_sizes()
+    twin = clone(table)
+    assert twin.memo_sizes() == sizes
+    copied = [twin.entry(u.m, u.i) for u in classes]
+    assert characteristic(twin, twin.entry(10, 1), copied) == value
+    assert twin.memo_sizes() == sizes
+
+
+def test_classes_from_another_table_are_refused():
+    """B3/T and C3/T have the same word at every (m, i), but most orbit
+    points differ, so C3/T's table refuses B3/T's classes with NotFound."""
+    b3 = enumerate_cosets(builtin_cartan("B", 3), {1, 2, 3})
+    c3 = enumerate_cosets(builtin_cartan("C", 3), {1, 2, 3})
+    top = c3.entry(9, 1)
+    s1, s2, s3 = b3.layer(1)
+    assert [e.word for e in b3.layer(1)] == [e.word for e in c3.layer(1)]
+    with pytest.raises(NotFound):
+        characteristic(c3, top, [s1] * 3 + [s2] * 3 + [s3] * 3)
+    with pytest.raises(NotFound):
+        characteristic(c3, b3.entry(2, 1), [c3.entry(1, 1)] * 2)
+    with pytest.raises(NotFound):
+        multiply_schubert(c3, c3.entry(1, 1), s2)
+    with pytest.raises(NotFound):
+        monomial_vector(c3, [s3, c3.entry(2, 1)])
+    # the entries of an equal table built twice are accepted
+    again = enumerate_cosets(builtin_cartan("C", 3), {1, 2, 3})
+    classes = [c3.entry(1, 1)] * 3 + [c3.entry(1, 2)] * 3 + [c3.entry(1, 3)] * 3
+    expected = characteristic(c3, top, classes)
+    assert characteristic(again, top, classes) == expected
+    assert characteristic(c3, again.entry(9, 1), list(again.layer(1)) * 3) == expected
+    assert multiply_schubert(again, c3.entry(1, 2), c3.entry(2, 1)) == multiply_schubert(
+        c3, c3.entry(1, 2), c3.entry(2, 1))
+
+
 def _positive_coroots(cm):
     """Each positive coroot beta^v with a word u such that beta = u(alpha_i).
 
@@ -591,7 +673,10 @@ def test_clear_caches():
     h = table.lookup_word([4])
     classes = [c4, c4, h, h, table.entry(5, 1), table.entry(5, 2)]
     before = characteristic(table, top, classes)
-    assert table._char_cache and table._vectors
+    sizes = table.memo_sizes()
+    assert sizes["target_words"] and sizes["mask_entries"] and sizes["monomial_vectors"]
     table.clear_caches()
-    assert table._char_cache == {} and table._vectors == {}
+    assert table.memo_sizes() == dict.fromkeys(sizes, 0)
+    assert all(e.masks is None and e.columns is None for e in table.entries())
     assert characteristic(table, top, classes) == before
+    assert table.memo_sizes() == sizes

@@ -327,6 +327,18 @@ def test_degree_records_do_not_show_in_outputs(series, rank, k_set, bound, choic
     assert _relations_and_polynomials(warm, gens, bound) == first
 
 
+def test_presentation_repr_is_a_value():
+    """A presentation's repr shows its generators' entries, so two equal
+    tables built apart give the same text."""
+    texts = []
+    for _ in range(2):
+        table = enumerate_cosets(builtin_cartan("A", 4), {1, 2, 3, 4})
+        texts.append(repr(find_relations(table, find_generators(table, 3), 3)))
+    assert texts[0] == texts[1]
+    assert "GeneratorSet((CosetEntry(m=1, i=1, word=(1,))" in texts[0]
+    assert " at 0x" not in texts[0]
+
+
 def test_memo_sizes_pinned():
     """Memo entry counts after a fixed query sequence on A3/T.
 
