@@ -354,10 +354,11 @@ def monomial_vector(table: CosetTable, classes) -> dict:
 def characteristic(table: CosetTable, w: CosetEntry, classes) -> int:
     """Coefficient of s_w in the product of the given Schubert classes.
 
-    ``classes`` is a list of coset entries u_1..u_k of total length l(w);
+    ``classes`` is an iterable of coset entries u_1..u_k of total length l(w);
     zero-length (identity) factors are allowed and ignored.  w and every
     class must be entries of this table (else NotFound).
     """
+    classes = tuple(classes)  # an iterator would be used up by the degree check
     total = sum(u.m for u in classes)
     if total != w.m:
         raise DegreeMismatch(f"classes have total degree {total}, target has length {w.m}")

@@ -7,8 +7,10 @@ and batch (one query per stdin line, one result line each).
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 resource limit.
 
-Each command imports the library modules it calls, and json only where it
-reads or writes JSON, so a process loads only what its command needs.
+Each command imports the library modules it calls, so a process loads only
+what its command needs.  char, multiply, present and schubpoly print through
+one writer, ``_emit``: the only reader of their --format and the only place
+they load json.  decompose streams its own json and csv, layer by layer.
 """
 
 from __future__ import annotations
@@ -198,6 +200,18 @@ def decompose(a: argparse.Namespace) -> None:
                              for e in layer))
 
 
+def _emit(a: argparse.Namespace, doc: dict, text: list[str], csv: list[str] | None = None) -> None:
+    """Print a result in its --format: ``doc`` as json.dumps prints it, or the
+    lines of ``text`` or ``csv``, none for an empty list; only JSON loads json."""
+    if a.format == "json":
+        import json
+        print(json.dumps(doc))
+    else:
+        lines = csv if a.format == "csv" else text
+        if lines:
+            print("\n".join(lines))
+
+
 def char(a: argparse.Namespace) -> None:
     """Characteristic number of a Schubert-class monomial against a class."""
     from .characteristics import characteristic
@@ -209,19 +223,9 @@ def char(a: argparse.Namespace) -> None:
         w = _resolve_class(table, a.w)
     classes = parse_classes(table, a.classes)
     value = characteristic(table, w, classes)
-    if a.format == "json":
-        import json
-        print(json.dumps({
-            "schema": "characteristic/1",
-            "w": {"m": w.m, "i": w.i, "word": list(w.word)},
-            "classes": a.classes,
-            "value": value,
-        }))
-    elif a.format == "csv":
-        print("classes,value")
-        print(f"\"{a.classes}\",{value}")
-    else:
-        print(f"{a.classes} = {value}")
+    _emit(a, {"schema": "characteristic/1", "w": {"m": w.m, "i": w.i, "word": list(w.word)},
+              "classes": a.classes, "value": value},
+          [f"{a.classes} = {value}"], ["classes,value", f"\"{a.classes}\",{value}"])
 
 
 def multiply(a: argparse.Namespace) -> None:
@@ -231,27 +235,11 @@ def multiply(a: argparse.Namespace) -> None:
     u = _resolve_class(table, a.u)
     v = _resolve_class(table, a.v)
     expansion = multiply_schubert(table, u, v)
-    if a.format == "json":
-        import json
-        terms = [
-            {"m": m, "i": i, "word": list(table.entry(m, i).word), "coef": c}
-            for (m, i), c in expansion.terms
-        ]
-        print(json.dumps({
-            "schema": "expansion/1",
-            "degree": expansion.degree,
-            "terms": terms,
-        }))
-    elif a.format == "csv":
-        print("m,i,coef")
-        for (m, i), c in expansion.terms:
-            print(f"{m},{i},{c}")
-    else:
-        if not expansion.terms:
-            print("0")
-        for (m, i), c in expansion.terms:
-            word = table.entry(m, i).word
-            print(f"w_{{{m},{i}}} [{', '.join(map(str, word))}]: {c}")
+    terms = [(m, i, table.entry(m, i).word, c) for (m, i), c in expansion.terms]
+    _emit(a, {"schema": "expansion/1", "degree": expansion.degree,
+              "terms": [{"m": m, "i": i, "word": list(w), "coef": c} for m, i, w, c in terms]},
+          [f"w_{{{m},{i}}} [{', '.join(map(str, w))}]: {c}" for m, i, w, c in terms] or ["0"],
+          ["m,i,coef", *(f"{m},{i},{c}" for m, i, _, c in terms)])
 
 
 def _poly_text(terms, names) -> str:
@@ -279,6 +267,14 @@ def _poly_text(terms, names) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
+def _generators_doc(gens) -> list[dict]:
+    return [{"degree": e.m, "word": list(e.word)} for e in gens.entries]
+
+
+def _terms_doc(terms) -> list[dict]:
+    return [{"exps": list(exps), "coef": coef} for exps, coef in terms]
+
+
 def present(a: argparse.Namespace) -> None:
     """Generators and relations of the intersection ring, degree-bounded."""
     from .presentation import find_generators, find_relations
@@ -288,30 +284,17 @@ def present(a: argparse.Namespace) -> None:
     bound = a.max_deg if a.max_deg is not None else table.top_length
     gens = find_generators(table, bound)
     pres = find_relations(table, gens, bound)
-    if a.format == "json":
-        import json
-        print(json.dumps({
-            "schema": "presentation/1",
-            "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
-            "relations": [
-                {
-                    "degree": rel.degree,
-                    "terms": [{"exps": list(exps), "coef": coef} for exps, coef in rel.terms],
-                }
-                for rel in pres.relations
-            ],
-            "bound": bound,
-        }))
-        return
     names = gens.names()
-    print("generators:")
-    for name, e in zip(names, gens.entries):
-        print(f"  {name} = s_{{{e.m},{e.i}}} [{', '.join(map(str, e.word))}]")
-    print(f"relations (complete through degree {bound}):")
-    if not pres.relations:
-        print("  none")
-    for rel in pres.relations:
-        print(f"  degree {rel.degree}: {_poly_text(rel.terms, names)}")
+    _emit(a, {"schema": "presentation/1", "generators": _generators_doc(gens),
+              "relations": [{"degree": rel.degree, "terms": _terms_doc(rel.terms)}
+                            for rel in pres.relations],
+              "bound": bound},
+          ["generators:",
+           *(f"  {name} = s_{{{e.m},{e.i}}} [{', '.join(map(str, e.word))}]"
+             for name, e in zip(names, gens.entries)),
+           f"relations (complete through degree {bound}):",
+           *([f"  degree {rel.degree}: {_poly_text(rel.terms, names)}"
+              for rel in pres.relations] or ["  none"])])
 
 
 def schubpoly(a: argparse.Namespace) -> None:
@@ -323,25 +306,11 @@ def schubpoly(a: argparse.Namespace) -> None:
         raise OutOfRange(f"--deg must be nonnegative, got {deg}")
     gens = find_generators(table, deg)
     polys = schubert_polynomials(table, gens, deg)
-    if a.format == "json":
-        import json
-        print(json.dumps({
-            "schema": "schubert-polynomials/1",
-            "degree": deg,
-            "generators": [{"degree": e.m, "word": list(e.word)} for e in gens.entries],
-            "polynomials": [
-                {
-                    "index": sp.index,
-                    "terms": [{"exps": list(exps), "coef": coef}
-                              for exps, coef in sp.terms],
-                }
-                for sp in polys
-            ],
-        }))
-        return
-    names = gens.names()
-    for sp in polys:
-        print(f"G_{{{deg},{sp.index}}} = {_poly_text(sp.terms, names)}")
+    _emit(a, {"schema": "schubert-polynomials/1", "degree": deg,
+              "generators": _generators_doc(gens),
+              "polynomials": [{"index": sp.index, "terms": _terms_doc(sp.terms)}
+                              for sp in polys]},
+          [f"G_{{{deg},{sp.index}}} = {_poly_text(sp.terms, gens.names())}" for sp in polys])
 
 
 def lr(a: argparse.Namespace) -> None:

@@ -33,6 +33,9 @@ class GeneratorSet:
     __slots__ = ("entries", "degrees")
 
     def __init__(self, entries: tuple[CosetEntry, ...]):
+        for e in entries:
+            if not e.m:  # no monomial basis has a factor of degree 0
+                raise OutOfRange(f"generator w_{{0,{e.i}}} is the unit class, of degree 0")
         self.entries = entries
         self.degrees = tuple(e.m for e in entries)
 

@@ -475,6 +475,14 @@ def test_g94_spot_value(g94):
     assert value == 1
 
 
+def test_characteristic_of_an_iterator(g94):
+    # the degree check used to use up an iterator and leave no factor, so 0
+    top, c1 = g94.entry(20, 1), g94.entry(1, 1)
+    assert characteristic(g94, top, [c1] * 20) == 1662804
+    assert characteristic(g94, top, (c1 for _ in range(20))) == 1662804
+    assert characteristic(g94, top, iter([c1] * 20)) == 1662804
+
+
 @pytest.mark.parametrize("series, rank, k_set", [
     ("G", 2, {1, 2}), ("A", 3, {1, 2, 3}), ("B", 3, {1, 2, 3}), ("C", 3, {1, 2, 3}),
     ("A", 4, {2}), ("B", 3, {1}), ("C", 3, {2}), ("G", 2, {1}), ("D", 4, {2}),

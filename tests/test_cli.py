@@ -541,6 +541,8 @@ _NO_RECORD_IMPORTS = {"dataclasses", "inspect"}
       '[[2, -1], [-1, 2]]}, "K": [1], "max_length": null, "entries": [{"m": 0, "i": 1, '
       '"word": []}, {"m": 1, "i": 1, "word": [1]}, {"m": 2, "i": 1, "word": [2, 1]}]}\n'),
      _NO_RECORD_IMPORTS),
+    ((["multiply", "--group", "A3", "--k", "2", "--u", "c1", "--v", "c1", "--format", "csv"],
+      "m,i,coef\n2,1,1\n2,2,1\n"), {"csv", "json", *_NO_RECORD_IMPORTS}),
     ((["oracle", "lr", "--lam", "1", "--mu", "1", "--nu", "2"], "1\n"),
      {"json", *_NO_RECORD_IMPORTS}),
     ((["oracle", "crosscheck", "--group", "A3", "--k", "2"],
@@ -718,8 +720,23 @@ def test_spaces_inside_a_node_number_are_usage_error(runner):
      "  y2 = s_{2,1} [1, 2]\n"
      "relations (complete through degree 2):\n"
      "  none\n"),
+    # JSON documents exactly as json.dumps prints them, and csv.writer's CRLF
+    (["char", "--group", "A3", "--k", "2", "--classes", "c1^4", "--format", "json"],
+     '{"schema": "characteristic/1", "w": {"m": 4, "i": 1, "word": [2, 1, 3, 2]}, '
+     '"classes": "c1^4", "value": 2}\n'),
+    (["multiply", "--group", "A3", "--k", "2", "--u", "[2]", "--v", "[2]", "--format", "json"],
+     '{"schema": "expansion/1", "degree": 2, "terms": [{"m": 2, "i": 1, "word": [1, 2], '
+     '"coef": 1}, {"m": 2, "i": 2, "word": [3, 2], "coef": 1}]}\n'),
+    (["present", "--group", "A3", "--k", "2", "--max-deg", "4", "--format", "json"],
+     '{"schema": "presentation/1", "generators": [{"degree": 1, "word": [2]}, '
+     '{"degree": 2, "word": [1, 2]}], "relations": [{"degree": 3, "terms": '
+     '[{"exps": [3, 0], "coef": 1}, {"exps": [1, 1], "coef": -2}]}, {"degree": 4, "terms": '
+     '[{"exps": [2, 1], "coef": 1}, {"exps": [0, 2], "coef": -1}]}], "bound": 4}\n'),
+    (["decompose", "--group", "A2", "--k", "1", "--format", "csv"],
+     "m,i,word\r\n0,1,\r\n1,1,1\r\n2,1,2 1\r\n"),
 ], ids=["char-cut-at-top", "multiply-zero", "multiply-csv", "schubpoly-json", "present-e6-p2",
-        "char-power-zero", "present-no-relations"])
+        "char-power-zero", "present-no-relations", "char-json", "multiply-json", "present-json",
+        "decompose-csv"])
 def test_command_stdout(runner, args, expected):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output

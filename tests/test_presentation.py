@@ -436,6 +436,16 @@ def test_expansion_matrix_width_without_monomials(g42):
     assert expansion_matrix(g42, none, 5).beta == 0
 
 
+def test_generator_of_degree_zero_is_refused(g42):
+    # the unit class used to be accepted, and find_relations, schubert_polynomials
+    # and expansion_matrix then divided by its degree in monomial_basis
+    for words in ([[]], [[2], []]):
+        with pytest.raises(OutOfRange, match=r"w_\{0,1\} is the unit class"):
+            generator_set_from_words(g42, words)
+    with pytest.raises(OutOfRange):
+        GeneratorSet((g42.entry(1, 1), g42.entry(0, 1)))
+
+
 def test_schubert_polynomials_degree_one(g42):
     gens = find_generators(g42)
     polys = schubert_polynomials(g42, gens, 1)
