@@ -110,22 +110,22 @@ def triangular_operator(a: StructureMatrix, h) -> int:
         states[support] = states.get(support, 0) + c
     rows = a.rows
     columns = [tuple((m - 1 - s, rows[s][t]) for s in range(t) if rows[s][t]) for t in range(m)]
-    full = (1 << m) - 1
-    return sum(_top_coefficient(states, mults, columns, full)
+    return sum(_top_coefficient(states, mults, columns)
                for mults, states in groups.items())
 
 
-def _top_coefficient(states: dict, mults, columns, full: int) -> int:
+def _top_coefficient(states: dict, mults, columns) -> int:
     """Coefficient of x_1...x_m in sum c x_K x_{d_1}...x_{d_r} (see triangular_operator).
 
     ``states`` maps a support bitmask K (bit d for x_{d+1}) to its
     coefficient c; ``mults`` are the multiplier positions d_1 >= d_2 >= ...,
-    each inside every K; ``columns[j]`` holds the nonzero (r, a_{s+1,j+1})
-    with s < j, the row counted from the word's end, r = m-1-s.
+    each inside every K; ``columns[j]``, one per position (m in all), holds
+    the nonzero (r, a_{s+1,j+1}), s < j, the row from the word's end, r = m-1-s.
     ``weight[r]`` is the summed weight of the chains that have reached
     position m-1-r.
     """
-    top = full.bit_length() - 1
+    top = len(columns) - 1
+    full = (1 << len(columns)) - 1
     n = len(mults)
     for t in range(n):
         d = mults[t]
@@ -252,14 +252,13 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
             states = groups.setdefault(a & b, {})
             states[a | b] = states.get(a | b, 0) + 1
     columns = w.columns or _word_columns(table, w)
-    full = (1 << w.m) - 1
     total = 0
     for shared, states in groups.items():
         mults = []  # the shared positions, highest first: one step per set bit
         while shared:
             mults.append(shared.bit_length() - 1)
             shared ^= 1 << mults[-1]
-        total += _top_coefficient(states, mults, columns, full)
+        total += _top_coefficient(states, mults, columns)
     return total
 
 
@@ -306,10 +305,9 @@ class _Prefix:
 
 
 def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> _Prefix:
-    """The memo node of s_u s_v, its vector {(m, i): c^w_{u,v}} over layer l(u) + l(v)."""
+    """The memo node of s_u s_v, its vector {(m, i): c^w_{u,v}} over layer l(u) + l(v).
+    u is the longer class, the larger (m, i), as every caller passes it."""
     key = ((u.m, u.i), (v.m, v.i))
-    if key[0] < key[1]:
-        key = (key[1], key[0])
     node = table._vectors.get(key)
     if node is None:
         node = table._vectors[key] = _Prefix({(w.m, w.i): c for w in table.layer(u.m + v.m)

@@ -23,9 +23,8 @@ for entry, as the plain elimination on the whole matrix.
 
 The matrices met here are mostly zero (the largest of the A4 full-flag
 presentation, up to 425 x 285, are 2.5-6 % nonzero and their P^-1 6-10 %),
-so the replay keeps its rows sparse: ``p``, ``q`` and ``q_inv`` are made
-dense at the end, and ``p_inv``, read only to write vectors through it,
-stays a list of sparse rows.
+so each of ``p``, ``p_inv``, ``q`` and ``q_inv`` is kept as a list of sparse
+``{column: entry}`` rows, read through ``_combine_sparse``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import OutOfRange
 
 
 def _combine(pairs, width: int) -> list[int]:
-    """The sum of c * row over (c, row) pairs, skipping zero coefficients."""
+    """The sum of c * row over (c, row) pairs of dense rows, skipping zero coefficients."""
     out = [0] * width
     for c, row in pairs:
         if c:
@@ -44,12 +43,14 @@ def _combine(pairs, width: int) -> list[int]:
     return out
 
 
-def _combine_sparse(pairs, width: int) -> list[int]:
-    """The sum of c * row over (c, row) pairs of sparse ``{column: entry}`` rows."""
+def _combine_sparse(coefficients, rows, width: int) -> list[int]:
+    """The sum of c * rows[k] over (k, c) pairs, skipping zero coefficients,
+    for sparse ``{column: entry}`` rows."""
     out = [0] * width
-    for c, row in pairs:
-        for j, v in row.items():
-            out[j] += c * v
+    for k, c in coefficients:
+        if c:
+            for j, v in rows[k].items():
+                out[j] += c * v
     return out
 
 
@@ -65,8 +66,7 @@ def _replay(n: int, ops, inverse: bool) -> list[dict[int, int]]:
     The transforms are mostly zero (0.4-25 % nonzero for the Smith forms of
     over 100 rows in the A4 full-flag presentation), so each row is a
     ``{column: entry}`` dict of its nonzero entries and an axpy costs the
-    size of its source row.  The rows are returned sparse; a caller that
-    needs them dense makes them so once (``_dense``).
+    size of its source row.
     """
     x = [{i: 1} for i in range(n)]
     for op in ops:
@@ -90,17 +90,6 @@ def _replay(n: int, ops, inverse: bool) -> list[dict[int, int]]:
     return x
 
 
-def _dense(rows, n: int) -> list[list[int]]:
-    """Sparse ``{column: entry}`` rows as dense rows of width n."""
-    out = []
-    for row in rows:
-        dense = [0] * n
-        for c, v in row.items():
-            dense[c] = v
-        out.append(dense)
-    return out
-
-
 def _transpose(rows, n: int) -> list[dict[int, int]]:
     """The transpose of sparse rows with n columns, as n sparse rows."""
     out = [{} for _ in range(n)]
@@ -117,9 +106,8 @@ class SNFResult:
     of the elimination's row and column operations (see ``_replay``).  ``p``, ``p_inv``,
     ``q`` and ``q_inv`` are each replayed from their log once, on first read.  Column
     operations act on Q from the right, so Q (as its transpose) and Q^-1 are row replays
-    of the column log, and P^-1 is the transpose of the inverse replay.  ``p``, ``q``
-    and ``q_inv`` are dense rows; ``p_inv`` is kept as sparse ``{column: entry}`` rows
-    (read them with ``_combine_sparse``).
+    of the column log, and P^-1 is the transpose of the inverse replay.  All four are
+    lists of sparse ``{column: entry}`` rows (read them with ``_combine_sparse``).
     """
 
     def __init__(self, d: list[list[int]], row_ops: list[tuple], col_ops: list[tuple]):
@@ -139,7 +127,7 @@ class SNFResult:
             return not any(vec)
         if len(vec) != self.cols:
             raise OutOfRange(f"vector has {len(vec)} entries, expected {self.cols}")
-        y = _combine(zip(vec, self.q), self.cols)
+        y = _combine_sparse(enumerate(vec), self.q, self.cols)
         rank = self.rank
         return (all(y[j] % self.diagonal[j] == 0 for j in range(rank))
                 and not any(y[rank:]))
@@ -149,20 +137,20 @@ class SNFResult:
         return self.rank == cols and all(x == 1 for x in self.diagonal[:cols])
 
     @cached_property
-    def p(self) -> list[list[int]]:
-        return _dense(_replay(len(self.d), self.row_ops, False), len(self.d))
+    def p(self) -> list[dict[int, int]]:
+        return _replay(len(self.d), self.row_ops, False)
 
     @cached_property
     def p_inv(self) -> list[dict[int, int]]:
         return _transpose(_replay(len(self.d), self.row_ops, True), len(self.d))
 
     @cached_property
-    def q(self) -> list[list[int]]:
-        return [list(c) for c in zip(*_dense(_replay(self.cols, self.col_ops, False), self.cols))]
+    def q(self) -> list[dict[int, int]]:
+        return _transpose(_replay(self.cols, self.col_ops, False), self.cols)
 
     @cached_property
-    def q_inv(self) -> list[list[int]]:
-        return _dense(_replay(self.cols, self.col_ops, True), self.cols)
+    def q_inv(self) -> list[dict[int, int]]:
+        return _replay(self.cols, self.col_ops, True)
 
 
 def _first_unit(m, t: int, rows: int):

@@ -172,9 +172,10 @@ def _relation_multiples(relations, degrees, m: int, index_of: dict):
     return out
 
 
-def _relation_terms(vec, monomials):
-    """Terms in canonical monomial order, sign fixed so the leader is positive."""
-    terms = [(monomials[i], c) for i, c in enumerate(vec) if c]
+def _relation_terms(vec: dict, monomials):
+    """Terms of a {monomial index: coefficient} row in canonical monomial order,
+    zeros skipped, sign fixed so the leader is positive."""
+    terms = [(monomials[i], vec[i]) for i in sorted(vec) if vec[i]]
     if terms[0][1] < 0:
         terms = [(e, -c) for e, c in terms]
     return tuple(terms)
@@ -225,7 +226,7 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
             p_inv = snf.p_inv
             coords = []
             for z in old:
-                y = _combine_sparse(((c, p_inv[k]) for k, c in z), b)
+                y = _combine_sparse(z, p_inv, b)
                 if any(y[:rank]):
                     raise NonSurjective(
                         f"degree-{m} relation multiple escapes the kernel lattice"
@@ -235,8 +236,8 @@ def find_relations(table: CosetTable, gens: GeneratorSet,
             diag = res.diagonal
             # primed kernel basis rows (Q^-1 @ kernel) whose invariant
             # factor is not 1
-            new_vecs = [_combine(zip(res.q_inv[idx], kernel), b) for idx in range(len(kernel))
-                        if idx >= len(diag) or diag[idx] != 1]
+            new_vecs = [dict(enumerate(_combine_sparse(res.q_inv[idx].items(), kernel, b)))
+                        for idx in range(len(kernel)) if idx >= len(diag) or diag[idx] != 1]
         batch = [Relation(m, _relation_terms(vec, monomials)) for vec in new_vecs]
         batch.sort(key=lambda r: r.terms[0][0], reverse=True)
         relations.extend(batch)
@@ -253,7 +254,7 @@ def schubert_polynomials(table: CosetTable, gens: GeneratorSet, m: int) -> list[
         raise NonSurjective(f"expansion matrix not onto at degree {m}")
     p, q = snf.p, snf.q
     # coefficients of the polynomials over the monomial basis: Q @ P[:beta]
-    coeff = [_combine(zip(q[i], p), matrix.b) for i in range(beta)]
+    coeff = [_combine_sparse(q[i].items(), p, matrix.b) for i in range(beta)]
     monomials = monomial_basis(gens.degrees, m)
     out = []
     for i in range(beta):

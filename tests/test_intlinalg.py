@@ -33,7 +33,7 @@ def int_det(a) -> int:
 
 
 def _dense(sparse_rows, n):
-    """Sparse ``{column: entry}`` rows (the form ``p_inv`` is kept in) made dense."""
+    """Sparse ``{column: entry}`` rows (the form every transform is kept in) made dense."""
     return [[row.get(j, 0) for j in range(n)] for row in sparse_rows]
 
 
@@ -48,12 +48,12 @@ def test_snf_known_cases():
     assert smith_normal_form([[1, 1], [0, 1]]).diagonal == [1, 1]
     res = smith_normal_form([[0, 0], [0, 0]])
     assert res.diagonal == [0, 0]
-    assert res.p == [[1, 0], [0, 1]] and res.q == [[1, 0], [0, 1]]
+    assert _dense(res.p, 2) == [[1, 0], [0, 1]] and _dense(res.q, 2) == [[1, 0], [0, 1]]
 
 
 def test_smith_normal_form_contract():
     res = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    p, d, q = res.p, res.d, res.q
+    p, d, q = _dense(res.p, 3), res.d, _dense(res.q, 3)
     assert _mat_mul(_mat_mul(p, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), q) == d
     diag = [d[i][i] for i in range(3)]
     for a, b in zip(diag, diag[1:]):
@@ -67,19 +67,53 @@ def test_snf_random_properties():
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         res = smith_normal_form(m)
-        assert _mat_mul(_mat_mul(res.p, m), res.q) == res.d
-        assert abs(int_det(tuple(map(tuple, res.p)))) == 1
-        assert abs(int_det(tuple(map(tuple, res.q)))) == 1
+        p, q = _dense(res.p, rows), _dense(res.q, cols)
+        assert _mat_mul(_mat_mul(p, m), q) == res.d
+        assert abs(int_det(tuple(map(tuple, p)))) == 1
+        assert abs(int_det(tuple(map(tuple, q)))) == 1
         eye_r = [[int(i == j) for j in range(rows)] for i in range(rows)]
         eye_c = [[int(i == j) for j in range(cols)] for i in range(cols)]
-        assert _mat_mul(res.q, res.q_inv) == eye_c
-        assert _mat_mul(res.p, _dense(res.p_inv, rows)) == eye_r
+        assert _mat_mul(q, _dense(res.q_inv, cols)) == eye_c
+        assert _mat_mul(p, _dense(res.p_inv, rows)) == eye_r
         diag = res.diagonal
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else b == 0
-        for z in res.p[res.rank:]:
+        for z in p[res.rank:]:
             assert all(sum(z[k] * m[k][j] for k in range(rows)) == 0 for j in range(cols))
+
+
+def _assert_sparse_rows(res):
+    """p, p_inv, q and q_inv: each a list of n {column: entry} dicts, keys in
+    0..n-1 and no zero value (n the rows for P, the columns for Q)."""
+    n_rows, n_cols = len(res.d), res.cols
+    for name, n in (("p", n_rows), ("p_inv", n_rows), ("q", n_cols), ("q_inv", n_cols)):
+        rows = getattr(res, name)
+        assert type(rows) is list and len(rows) == n, name
+        for row in rows:
+            assert type(row) is dict, name
+            assert all(0 <= j < n for j in row), name
+            assert all(v != 0 for v in row.values()), name
+
+
+def test_snf_transforms_are_sparse_rows():
+    # every transform is kept in one format, sparse rows, on random matrices
+    # and on every degree record of a full-flag presentation
+    rng = random.Random(20240)
+    for _ in range(150):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        _assert_sparse_rows(smith_normal_form(
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]))
+    table = enumerate_cosets(builtin_cartan("A", 4), {1, 2, 3, 4})
+    gens = presentation.find_generators(table)
+    presentation.find_relations(table, gens)
+    for m in range(table.top_length + 1):
+        presentation.schubert_polynomials(table, gens, m)
+    records = list(table._degrees.values())
+    assert len(records) > table.top_length
+    for _, res in records:
+        _assert_sparse_rows(res)
 
 
 def test_snf_transforms_replay_in_any_order():
@@ -321,11 +355,11 @@ def _assert_matches_reference(mat, res=None):
     if res is None:
         res = smith_normal_form(mat)
     assert (res.d, res.row_ops, res.col_ops) == (d, row_ops, col_ops)
-    assert res.p == _reference_replay(rows, row_ops, False)
+    assert _dense(res.p, rows) == _reference_replay(rows, row_ops, False)
     p_inv = [list(c) for c in zip(*_reference_replay(rows, row_ops, True))]
     assert _dense(res.p_inv, rows) == p_inv
-    assert res.q == [list(c) for c in zip(*_reference_replay(cols, col_ops, False))]
-    assert res.q_inv == _reference_replay(cols, col_ops, True)
+    assert _dense(res.q, cols) == [list(c) for c in zip(*_reference_replay(cols, col_ops, False))]
+    assert _dense(res.q_inv, cols) == _reference_replay(cols, col_ops, True)
 
 
 def test_snf_matches_full_block_reference():
