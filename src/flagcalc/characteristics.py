@@ -17,10 +17,12 @@ The rules compute the integral of the word's Bott-Samelson ring
 Z[x_1..x_m]/(x_k^2 - x_k L_k), L_k = a_{1,k} x_1 + ... + a_{k-1,k} x_{k-1}:
 the coefficient of x_1...x_m in its squarefree basis (Duan, Adv. Math. 180
 (2003); Duan, Invent. Math. 159 (2005)).  The one kernel,
-``_top_coefficient``, works in that basis: each extra factor x_d is a
-downward chain sweep over A's columns that fills one hole of the support,
-and states that can no longer fill their highest hole are pruned, so no
-power of L_k is expanded (the argument is in ``triangular_operator``).
+``_top_coefficient``, works in that basis: each extra factor x_d fills one
+hole of the support, with the weight of each hole read from the word's
+resolvent M_w = (I - A_w)^-1 (one lookup per hole, less one product per
+higher hole), and states that can no longer fill their highest hole are
+pruned, so no power of L_k is expanded (the argument is in
+``triangular_operator``).
 
 ``triangular_operator`` applies the functional to an explicitly expanded
 polynomial.  The product engine applies it to two factors only: the
@@ -31,13 +33,15 @@ vector of the monomial s_u s_v, memoized per table among the monomial
 vectors.  A longer monomial is folded one factor at a time, each prefix
 memoized on the shorter prefix's memo node and the next factor, and all the
 readers of products read from the same rows.  The entry of each target word
-and of each ancestor of one memoizes the nonzero entries of A_w's columns
-and every class's masks as bitmasks, each built from the parent word's in
-the coset tree (``_prepend_letter``, ``class_factor_masks``).
+and of each ancestor of one memoizes the rows of M_w and every class's masks
+as bitmasks, each built from the parent word's in the coset tree
+(``_word_rows``, ``class_factor_masks``): row s of a word is row s - 1 of
+its parent, the same array, and only row 0 is new.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 
 from .cartan import CartanMatrix
@@ -56,16 +60,12 @@ class StructureMatrix(namedtuple("StructureMatrix", "rows")):
 
 
 def structure_matrix(cartan: CartanMatrix, word) -> StructureMatrix:
-    """A_w as dense rows: ``_prepend_letter`` folded over the word, zero elsewhere."""
+    """A_w as dense rows: a_{s,t} = -c[i_s][i_t] for s < t, zero elsewhere."""
     word = _letters(cartan, word)
-    columns: list = []
-    for s in range(len(word) - 1, -1, -1):
-        columns = _prepend_letter(cartan, word[s:], columns)
-    rows = [[0] * len(word) for _ in word]
-    for t, column in enumerate(columns):
-        for r, x in column:
-            rows[-1 - r][t] = x
-    return StructureMatrix(tuple(map(tuple, rows)))
+    c = cartan.entries
+    return StructureMatrix(tuple(tuple(-c[g - 1][h - 1] if s < t else 0
+                                       for t, h in enumerate(word))
+                                 for s, g in enumerate(word)))
 
 
 def triangular_operator(a: StructureMatrix, h) -> int:
@@ -86,14 +86,35 @@ def triangular_operator(a: StructureMatrix, h) -> int:
     (rule ii).  The coefficient is computed without expanding any power of
     L_k.  A monomial x^e is the squarefree x_K over its support K times one
     multiplier x_d for each exponent e_d beyond the first.  Since
-    x_d x_K = L_d x_K for d in K, a multiplier is one downward sweep from d:
-    a chain d > c_1 > ... > c_q through positions of K carries the weight
-    a_{c_1,d} a_{c_2,c_1} ... a_{h,c_q} and ends at a hole h of K, giving
-    x_{K+h}.  Each multiplier fills one hole below it and the multipliers
-    are taken in descending order, so a state whose highest hole is not
-    below the next multiplier is dropped, and a sweep stops at the lowest
-    hole, or at the highest hole when the multiplier after it lies below
-    that hole (then only that hole may still be filled).
+    x_d x_K = L_d x_K for d in K, a multiplier is a sum over the holes h of
+    K below d: x_{K+h} times the weight W(h) of the chains
+    d > c_1 > ... > c_q > h through positions of K, each chain weighing
+    a_{c_1,d} a_{c_2,c_1} ... a_{h,c_q}.  The chains from h up to d through
+    any positions sum to the entry M[h][d] of the resolvent
+    M = (I - A)^-1 = I + A + A^2 + ..., and splitting such a chain at its
+    highest hole h' gives the first-passage identity
+
+        M[h][d] = W(h) + sum over holes h' with h < h' of W(h') M[h][h'],
+
+    so, the holes taken from the highest down, each W(h) is one lookup less
+    one product per higher hole.  Each multiplier fills one hole below it,
+    in descending order, so a state can end full only while its j-th
+    highest hole lies below its j-th next multiplier, for every j.  Filling
+    a hole keeps the holes above it, so the holes are tried from the highest
+    down until one lies above the multiplier as many places on: when the
+    multiplier after d lies below the highest hole, only that hole is
+    filled, with the one lookup W = M[high][d].
+
+    On a reduced word, column t of M is the positive inversion root
+    beta_t = s_{i_1}...s_{i_{t-1}}(alpha_{i_t}) written along the word,
+    beta_t = sum over s of M[s][t] alpha_{i_s}, with
+    s_i(alpha_j) = alpha_j - c[i][j] alpha_i (the roots of Billey's formula,
+    Duke Math. J. 96 (1999)).  Each entry above the diagonal pairs two
+    non-proportional roots, so it lies in -3..3 (within 1 on the
+    simply-laced types, 2 on B, C and F4, 3 on G2), and the coset tree keeps
+    M's rows as signed bytes (a Cartan matrix of infinite type can leave
+    them, and its rows stay Python integers).  ``a`` here is any matrix, so
+    M is built by back-substitution in Python integers.
     """
     m = a.size
     # {descending multipliers: {support: coefficient}}
@@ -108,50 +129,69 @@ def triangular_operator(a: StructureMatrix, h) -> int:
         mults = tuple(d for d in range(m - 1, -1, -1) for _ in range(e[d] - 1))
         states = groups.setdefault(mults, {})
         states[support] = states.get(support, 0) + c
-    rows = a.rows
-    columns = [tuple((m - 1 - s, rows[s][t]) for s in range(t) if rows[s][t]) for t in range(m)]
-    return sum(_top_coefficient(states, mults, columns)
+    resolvent: list = []
+    for s in range(m - 1, -1, -1):
+        row = a.rows[s]
+        resolvent = [_first_row([(t - s - 1, row[t]) for t in range(s + 1, m) if row[t]],
+                                resolvent)] + resolvent
+    return sum(_top_coefficient(states, mults, resolvent)
                for mults, states in groups.items())
 
 
-def _top_coefficient(states: dict, mults, columns) -> int:
+def _first_row(coefficients, rows: list) -> list:
+    """Row 0 of M = (I - A)^-1 from its rows 1.. (``rows``): e_0 plus x * rows[k]
+    for each (k, x) = (s - 1, a_{0,s}).  Row s keeps M[s][t] at index m-1-t,
+    so it is m - s long."""
+    row = [0] * len(rows) + [1]
+    for k, x in coefficients:
+        below = rows[k]
+        row[:len(below)] = [y + x * z for y, z in zip(row, below)]
+    return row
+
+
+def _top_coefficient(states: dict, mults, rows) -> int:
     """Coefficient of x_1...x_m in sum c x_K x_{d_1}...x_{d_r} (see triangular_operator).
 
     ``states`` maps a support bitmask K (bit d for x_{d+1}) to its
     coefficient c; ``mults`` are the multiplier positions d_1 >= d_2 >= ...,
-    each inside every K; ``columns[j]``, one per position (m in all), holds
-    the nonzero (r, a_{s+1,j+1}), s < j, the row from the word's end, r = m-1-s.
-    ``weight[r]`` is the summed weight of the chains that have reached
-    position m-1-r.
+    each inside every K; ``rows`` are the resolvent's, m in all, row h
+    holding M[h][t] at index m-1-t.  A hole's weight W is filled in from
+    the highest hole down, ``done`` holding (m-1-h', W(h')) of the higher
+    holes h' with a nonzero weight.  ``mults`` is extended by -1, below
+    every hole, so the last hole always ends the tries.
     """
-    top = len(columns) - 1
-    full = (1 << len(columns)) - 1
+    top = len(rows) - 1
+    full = (1 << len(rows)) - 1
     n = len(mults)
+    mults = (*mults, -1)
     for t in range(n):
         d = mults[t]
-        after = mults[t + 1] if t + 1 < n else -1
+        col = top - d
         nxt: dict = {}
         for support, c in states.items():
-            holes = full ^ support
-            high = holes.bit_length() - 1
-            if high > d:
+            if not c:
                 continue
-            low = high if high > after else (holes & -holes).bit_length() - 1
-            stop = top - low
-            weight = [0] * (stop + 1)
-            weight[top - d] = c
-            for r in range(top - d, stop + 1):
-                x = weight[r]
-                if not x:
-                    continue
-                j = top - r
-                if support >> j & 1:
-                    for q, y in columns[j]:
-                        if q <= stop:
-                            weight[q] += x * y
-                else:
-                    key = support | 1 << j
-                    nxt[key] = nxt.get(key, 0) + x
+            holes = full ^ support
+            h = holes.bit_length() - 1
+            if h > d:
+                continue
+            done: list = []
+            j = t + 1
+            while True:
+                row = rows[h]
+                x = row[col]
+                for q, y in done:
+                    x -= y * row[q]
+                if x:
+                    key = support | 1 << h
+                    nxt[key] = nxt.get(key, 0) + c * x
+                if h > mults[j]:  # the holes below h may no longer be filled
+                    break
+                if x:
+                    done.append((top - h, x))
+                holes ^= 1 << h
+                h = holes.bit_length() - 1
+                j += 1
         if not nxt:
             return 0
         states = nxt
@@ -251,47 +291,45 @@ def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntr
         for b in masks_v:
             states = groups.setdefault(a & b, {})
             states[a | b] = states.get(a | b, 0) + 1
-    columns = w.columns or _word_columns(table, w)
+    rows = w.rows or _word_rows(table, w)
     total = 0
     for shared, states in groups.items():
         mults = []  # the shared positions, highest first: one step per set bit
         while shared:
             mults.append(shared.bit_length() - 1)
             shared ^= 1 << mults[-1]
-        total += _top_coefficient(states, mults, columns)
+        total += _top_coefficient(states, mults, rows)
     return total
 
 
-def _prepend_letter(cartan: CartanMatrix, word: tuple[int, ...], columns: list) -> list:
-    """A_word's columns from the columns of word[1:]: the one writer of the entry convention.
-
-    columns[t] holds the nonzero (r, a_{s+1,t+1}), the row counted from the
-    word's end, r = m-1-s.  So column t - 1 of word[1:] is column t of word,
-    and only a_{1,t+1} = -c[g][i_{t+1}], g = word[0], adds (m-1, a_{1,t+1})
-    to the columns whose letter is joined to g.  The table memo takes this
-    step once per word of the coset tree; ``structure_matrix`` folds it.
-    """
-    joined = dict(cartan.nonzero_rows[word[0] - 1])
-    r = len(columns)
-    out = [()]
-    for h, column in zip(word[1:], columns):
-        c = joined.get(h - 1)
-        out.append(column + ((r, -c),) if c else column)
-    return out
-
-
-def _word_columns(table: CosetTable, w: CosetEntry) -> list:
-    """A_w's memoized columns: the parent chain is walked down in a loop to the
-    first word with columns (the root's are empty), then back up, each word's
-    columns from its parent's, as in ``class_factor_masks``."""
+def _word_rows(table: CosetTable, w: CosetEntry) -> list:
+    """M_w's memoized rows, as signed bytes (as a list past -128..127, which
+    only a Cartan matrix of infinite type reaches): the parent chain is
+    walked down in a loop to the first word with rows (the root's are
+    empty), then back up, as in ``class_factor_masks``.  A word's rows are
+    its parent's, the same arrays, after one new row 0 from
+    a_{0,s} = -c[i_0][i_s] (``_first_row``)."""
     chain, node = [], w
-    while node.m and node.columns is None:
+    while node.m and node.rows is None:
         chain.append(node)
         node = node.parent
-    columns = node.columns if node.m else []
+    rows = node.rows if node.m else []
+    nonzero = table.cartan.nonzero_rows
     for node in reversed(chain):
-        columns = node.columns = _prepend_letter(table.cartan, node.word, columns)
-    return columns
+        word = node.word
+        coefficients = []  # (s - 1, a_{0,s}), each letter's positions found by tuple.index
+        for j, c in nonzero[word[0] - 1]:
+            s = 0
+            for _ in range(word.count(j + 1) - (j + 1 == word[0])):
+                s = word.index(j + 1, s + 1)
+                coefficients.append((s - 1, -c))
+        row = _first_row(coefficients, rows)
+        try:
+            row = array("b", row)
+        except OverflowError:  # only a Cartan matrix of infinite type gets here
+            pass
+        rows = node.rows = [row] + rows
+    return rows
 
 
 class _Prefix:

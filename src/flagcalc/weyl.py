@@ -103,14 +103,14 @@ def element_of_word(cartan: CartanMatrix, word) -> Matrix:
 class CosetEntry:
     """One minimal coset representative: index (m, i), minimized word, orbit point,
     and ``parent``, the entry of ``word[1:]`` (None at the root).  ``masks`` and
-    ``columns`` are the word's product memo (see characteristics.py), None until used."""
+    ``rows`` are the word's product memo (see characteristics.py), None until used."""
 
-    __slots__ = ("m", "i", "word", "vector", "parent", "masks", "columns")
+    __slots__ = ("m", "i", "word", "vector", "parent", "masks", "rows")
 
     def __init__(self, m: int, i: int, word: tuple[int, ...], vector: tuple[int, ...],
                  parent: CosetEntry | None = None):
         self.m, self.i, self.word, self.vector, self.parent = m, i, word, vector, parent
-        self.masks = self.columns = None
+        self.masks = self.rows = None
 
     def __eq__(self, other):  # equality and hashing never read the orbit point, parent or memo
         return (type(other) is CosetEntry and other.m == self.m and other.i == self.i
@@ -139,7 +139,7 @@ class CosetTable:
         self.layers = layers
         self.max_length = max_length
         self._by_vector = {e.vector: e for layer in layers for e in layer}
-        # memos besides each entry's masks and columns: each monomial prefix's
+        # memos besides each entry's masks and rows: each monomial prefix's
         # node (characteristics.py); each degree record (presentation.py)
         self._vectors: dict = {}
         self._degrees: dict = {}
@@ -147,14 +147,14 @@ class CosetTable:
     def clear_caches(self) -> None:
         """Empty the memos that queries fill; later queries rebuild them."""
         for e in self.entries():
-            e.masks = e.columns = None
+            e.masks = e.rows = None
         self._vectors.clear()
         self._degrees.clear()
 
     def memo_sizes(self) -> dict[str, int]:
         """Entry counts of the memos that queries fill (see ``clear_caches``)."""
         return {
-            "target_words": sum(1 for e in self.entries() if e.masks or e.columns),
+            "target_words": sum(1 for e in self.entries() if e.masks or e.rows),
             "mask_entries": sum(len(e.masks) for e in self.entries() if e.masks),
             "monomial_vectors": len(self._vectors),
             "degree_records": len(self._degrees),

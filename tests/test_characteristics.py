@@ -9,10 +9,11 @@ from operator import add
 import pytest
 
 from flagcalc import builtin_cartan, enumerate_cosets, structure_matrix, triangular_operator
+from flagcalc.cartan import validate
 from flagcalc.characteristics import (
     SchubertExpansion,
     StructureMatrix,
-    _word_columns,
+    _word_rows,
     characteristic,
     class_factor_masks,
     monomial_vector,
@@ -54,9 +55,9 @@ def test_structure_matrix_length_one():
 def test_structure_matrix_convention(series, rank, k_set):
     """a_{s,t} = -c[i_s][i_t] for s < t and zero elsewhere, on every word.
 
-    The reference is the dense formula, written out apart from the engine's
-    sparse columns.  Outside the simply-laced types c is not symmetric, so
-    this pins which index of c is the row.
+    The reference is the dense formula, written out apart from the
+    library's.  Outside the simply-laced types c is not symmetric, so this
+    pins which index of c is the row.
     """
     cm = builtin_cartan(series, rank)
     for w in enumerate_cosets(cm, k_set).entries():
@@ -68,40 +69,74 @@ def test_structure_matrix_convention(series, rank, k_set):
         assert structure_matrix(cm, word).rows == expected, word
 
 
-@pytest.mark.parametrize("order", ["deepest-first", "ascending"])
-@pytest.mark.parametrize("series, rank, k_set", [
-    ("A", 3, {1, 2, 3}), ("B", 3, {1, 2, 3}), ("C", 3, {1, 2, 3}), ("G", 2, {1, 2}),
-    ("F", 4, {1}), ("E", 6, {2}),
-], ids=["A-3", "B-3", "C-3", "G-2", "F-4-P1", "E-6-P2"])
-def test_tree_built_columns_match_structure_matrix(series, rank, k_set, order):
-    """The memoized columns, built from the parent word's, scatter to A_w.
+def _dense_resolvent(a):
+    """(I - A)^-1 of a strictly upper-triangular A, by back-substitution on
+    the dense rows: M[s][t] = [s == t] + sum over r of a[s][r] M[r][t]."""
+    m = len(a)
+    inv = [[0] * m for _ in range(m)]
+    for s in range(m - 1, -1, -1):
+        for t in range(m):
+            inv[s][t] = (s == t) + sum(a[s][r] * inv[r][t] for r in range(s + 1, m))
+    return inv
 
-    Deepest first, the top word's walk fills every ancestor's columns; in
-    ascending order each word finds its parent's already memoized.  A
-    column whose letter is not joined to the first letter is the parent's
-    column one place to the left, the same tuple.
+
+def _inversion_root(cm, word, t):
+    """beta_t = s_{i_0} ... s_{i_{t-1}}(alpha_{i_t}) in simple-root coordinates,
+    with s_i(alpha_j) = alpha_j - c[i][j] alpha_i."""
+    n = cm.rank
+    v = [int(j == word[t] - 1) for j in range(n)]
+    for g in reversed(word[:t]):
+        v[g - 1] -= sum(cm.c(g, j + 1) * v[j] for j in range(n))
+    return v
+
+
+@pytest.mark.parametrize("order", ["deepest-first", "ascending"])
+@pytest.mark.parametrize("series, rank, k_set, bound", [
+    ("A", 3, {1, 2, 3}, 1), ("B", 3, {1, 2, 3}, 2), ("C", 3, {1, 2, 3}, 2),
+    ("G", 2, {1, 2}, 3), ("F", 4, {1}, 2), ("E", 6, {2}, 1),
+], ids=["A-3", "B-3", "C-3", "G-2", "F-4-P1", "E-6-P2"])
+def test_tree_built_columns_match_structure_matrix(series, rank, k_set, bound, order):
+    """The memoized rows, built from the parent word's, are (I - A_w)^-1.
+
+    Row s holds M[s][t] at index m-1-t, and equals row s of the dense
+    inverse of ``structure_matrix``.  Deepest first, the top word's walk
+    fills every ancestor's rows; in ascending order each word finds its
+    parent's already memoized.  Rows 1.. are the parent's arrays themselves.
+    Column t of M, summed along the word, is the positive inversion root
+    beta_t, so every entry off the diagonal is within 1 on the simply-laced
+    types, 2 on B, C and F4 and 3 on G2, and the bound is reached.
     """
     cm = builtin_cartan(series, rank)
     table = enumerate_cosets(cm, k_set)
     entries = list(table.entries())
     if order == "deepest-first":
         entries.reverse()
+    widest = 0
     for w in entries:
-        m = w.m
-        columns = _word_columns(table, w)
+        word, m = w.word, w.m
+        rows = _word_rows(table, w)
         if m:
-            assert w.columns is columns
-        rows = [[0] * m for _ in range(m)]
-        for t, column in enumerate(columns):
-            for r, x in column:
-                rows[m - 1 - r][t] = x
-        assert tuple(map(tuple, rows)) == structure_matrix(cm, w.word).rows, w.word
+            assert w.rows is rows
+        assert [len(row) for row in rows] == list(range(m, 0, -1)), word
+        a = structure_matrix(cm, word).rows
+        inv = [[0] * m for _ in range(m)]  # dense back-substitution
+        for s in range(m - 1, -1, -1):
+            for t in range(m):
+                inv[s][t] = (s == t) + sum(a[s][r] * inv[r][t] for r in range(s + 1, m))
+        assert [[rows[s][m - 1 - t] if t >= s else 0 for t in range(m)]
+                for s in range(m)] == inv, word
         if w.parent is not None:
-            shifted = _word_columns(table, w.parent)
-            g = w.word[0]
-            for t in range(1, m):
-                if not cm.c(g, w.word[t]):
-                    assert columns[t] is shifted[t - 1]
+            parent_rows = _word_rows(table, w.parent)
+            assert len(rows) == len(parent_rows) + 1
+            assert all(row is got for row, got in zip(rows[1:], parent_rows)), word
+        for t in range(m):
+            along = [0] * rank
+            for s in range(t + 1):
+                along[word[s] - 1] += inv[s][t]
+            beta = _inversion_root(cm, word, t)
+            assert along == beta and min(beta) >= 0, (word, t)
+        widest = max([widest] + [abs(x) for s, row in enumerate(inv) for x in row[s + 1:]])
+    assert widest == bound
 
 
 def test_operator_rule_one():
@@ -418,6 +453,28 @@ def test_multiply_beyond_top_is_empty(g42):
     assert multiply_schubert(g42, top, one).terms == ()
 
 
+def test_rows_past_a_byte_on_an_infinite_type():
+    """On a Cartan matrix of infinite type an entry of M_w can leave -128..127.
+
+    Its row stays a list of Python integers, and h^12 still agrees with the
+    operator on the expanded product of the twelve mask sums.
+    """
+    cm = validate([[2, -3, 0], [-1, 2, -3], [0, -1, 2]])
+    table = enumerate_cosets(cm, {1}, max_length=12)
+    w, h = table.entry(12, 12), table.entry(1, 1)
+    got = characteristic(table, w, [h] * 12)
+    assert isinstance(w.rows[0], list) and max(abs(x) for x in w.rows[0]) > 127
+    poly = {(0,) * 12: 1}
+    for _ in range(12):
+        new: dict = {}
+        for e, c in poly.items():
+            for mask in class_factor_masks(table, w, h):
+                key = tuple(a + (mask >> p & 1) for p, a in enumerate(e))
+                new[key] = new.get(key, 0) + c
+        poly = new
+    assert got == triangular_operator(structure_matrix(cm, w.word), poly) == 601474156448
+
+
 def test_truncated_table_refuses(g94_len8):
     u = g94_len8.entry(5, 1)
     v = g94_len8.entry(5, 2)
@@ -530,7 +587,7 @@ def test_masks_of_a_deep_word():
 def test_long_word_characteristic(n):
     """h^n = 1 on CP^n: target words at and beyond 64 letters.
 
-    At 1100 letters the columns and masks come from 1100 nested words, with
+    At 1100 letters the rows and masks come from 1100 nested words, with
     Python's default recursion limit.
     """
     table = enumerate_cosets(builtin_cartan("A", n), {1})
@@ -543,8 +600,9 @@ def test_long_word_memo_size():
     """The memo that h^1100 leaves on CP^1100 stays below 8 MB.
 
     Each prefix h^t is keyed on the node of h^(t-1) and the factor, not on
-    a t-tuple of factor keys.  The columns of the 1100 nested words are the
-    quadratic rest: about 5 MB.
+    a t-tuple of factor keys.  The resolvent rows of the 1100 nested words
+    are the quadratic rest: about 5.6 MB, 4.9 MB of it each word's list of
+    pointers to its rows.
     """
     table = enumerate_cosets(builtin_cartan("A", 1100), {1})
     h = table.entry(1, 1)
@@ -685,6 +743,6 @@ def test_clear_caches():
     assert sizes["target_words"] and sizes["mask_entries"] and sizes["monomial_vectors"]
     table.clear_caches()
     assert table.memo_sizes() == dict.fromkeys(sizes, 0)
-    assert all(e.masks is None and e.columns is None for e in table.entries())
+    assert all(e.masks is None and e.rows is None for e in table.entries())
     assert characteristic(table, top, classes) == before
     assert table.memo_sizes() == sizes

@@ -399,6 +399,72 @@ def test_relations_stable_above_the_top(series, rank, k_set):
         assert schubert_polynomials(table, gens, bound + 1) == []
 
 
+def _times_one_minus(poly: list, e: int) -> list:
+    """poly * (1 - t^e), coefficient lists from t^0."""
+    out = poly + [0] * e
+    for m, b in enumerate(poly):
+        out[m + e] -= b
+    return out
+
+
+def _poincare_series_holds(betti, gen_degrees, rel_degrees) -> bool:
+    """sum b_m t^m = prod (1 - t^e_i) / prod (1 - t^d_j), cleared of denominators."""
+    lhs, rhs = list(betti), [1]
+    for d in gen_degrees:
+        lhs = _times_one_minus(lhs, d)
+    for e in rel_degrees:
+        rhs = _times_one_minus(rhs, e)
+    width = max(len(lhs), len(rhs))
+    return lhs + [0] * (width - len(lhs)) == rhs + [0] * (width - len(rhs))
+
+
+def _full_presentation(table):
+    """Generators through the top and relations through top + the largest generator degree."""
+    gens = find_generators(table)
+    return gens, find_relations(table, gens, table.top_length + max(gens.degrees))
+
+
+@pytest.mark.parametrize("series,rank,k", [
+    ("A", 3, "T"), ("A", 4, "T"), ("B", 3, "T"), ("C", 3, "T"), ("G", 2, "T"),
+    ("A", 5, 2), ("A", 6, 3), ("B", 3, 1), ("B", 3, 2), ("C", 3, 3), ("B", 4, 3),
+    ("C", 4, 1), ("C", 4, 2), ("D", 5, 5), ("E", 6, 1), ("E", 6, 2), ("F", 4, 1),
+    ("F", 4, 2), ("F", 4, 4), ("E", 7, 7),
+])
+def test_presentation_matches_the_poincare_series(series, rank, k):
+    """With as many relations as generators, sum b_m t^m = prod (1 - t^e_i) / prod (1 - t^d_j).
+
+    The quotient has finite rank, so the relations form a regular sequence
+    and the Betti numbers are those of a complete intersection (rationally
+    H*(G/P) is one: Borel, Ann. of Math. 57 (1953)).  A missing or extra
+    relation, or one of a wrong degree, breaks the identity.  Different
+    counts fail by name: the identity then does not apply.
+    """
+    k_set = set(range(1, rank + 1)) if k == "T" else {k}
+    table = enumerate_cosets(builtin_cartan(series, rank), k_set)
+    gens, pres = _full_presentation(table)
+    rel_degrees = [r.degree for r in pres.relations]
+    name = f"{series}{rank}/{'T' if k == 'T' else f'P{k}'}"
+    if len(rel_degrees) != len(gens):
+        pytest.fail(f"{name}: {len(rel_degrees)} relations for {len(gens)} generators, "
+                    "so the Poincare series identity does not apply")
+    assert _poincare_series_holds(table.betti, gens.degrees, rel_degrees), name
+
+
+def test_e7p1_full_degree_presentation_pinned():
+    """E7/P1 at full degree: generators of degree 1, 4, 6, 9 and relations of
+    degree 9, 12, 14, 18, with the relations' digest; the Poincare series
+    identity holds."""
+    table = enumerate_cosets(builtin_cartan("E", 7), {1})
+    gens, pres = _full_presentation(table)
+    assert [e.word for e in gens.entries] == [
+        (1,), (2, 4, 3, 1), (2, 6, 5, 4, 3, 1), (3, 4, 2, 7, 6, 5, 4, 3, 1)]
+    rel_degrees = [r.degree for r in pres.relations]
+    assert (gens.degrees, rel_degrees) == ((1, 4, 6, 9), [9, 12, 14, 18])
+    digest = hashlib.sha256(repr([(r.degree, r.terms) for r in pres.relations]).encode())
+    assert digest.hexdigest() == "96b298c3fb6aaad8d2dfa4edd6911abf07105e3f118ebc2970dce64cf028c34f"
+    assert _poincare_series_holds(table.betti, gens.degrees, rel_degrees)
+
+
 def test_relations_empty_below_first_kernel(cp3):
     gens = find_generators(cp3)
     pres = find_relations(cp3, gens, 3)
