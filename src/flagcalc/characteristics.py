@@ -30,9 +30,15 @@ structure constant c^w_{u,v} is the functional of w's word on the product
 of the two mask sums, x_a x_b = x_{a|b} times one multiplier per position
 of a & b.  The row of constants of a pair {u, v} is the Schubert-basis
 vector of the monomial s_u s_v, memoized per table among the monomial
-vectors.  A longer monomial is folded one factor at a time, each prefix
-memoized on the shorter prefix's memo node and the next factor, and all the
-readers of products read from the same rows.  The entry of each target word
+vectors, and is one pass over the layer l(u) + l(v) (``_row``): each target
+reads the masks of u, the longer class, and builds v's only where u has
+one.  Since |a| + |b| = l(w), a mask pair with no shared position is the
+full monomial and counts 1, and one with a single shared position d fills
+its one hole h with M_w[h][d] when h < d (0 otherwise); only the pairs with
+two or more shared positions, grouped by a & b, call the kernel.  A longer
+monomial is folded one factor at a time, each prefix memoized on the
+shorter prefix's memo node and the next factor, and all the readers of
+products read from the same rows.  The entry of each target word
 and of each ancestor of one memoizes the rows of M_w and every class's masks
 as bitmasks, each built from the parent word's in the coset tree
 (``_word_rows``, ``class_factor_masks``): row s of a word is row s - 1 of
@@ -275,33 +281,6 @@ def class_factor_masks(table: CosetTable, w: CosetEntry, u: CosetEntry) -> tuple
     return got
 
 
-def _pair_constant(table: CosetTable, w: CosetEntry, u: CosetEntry, v: CosetEntry) -> int:
-    """c^w_{u,v}: the operator of w's word on the product of the two mask sums.
-
-    x_a x_b = x_{a|b} times one multiplier per position of a & b, so the
-    products are grouped by their shared positions and each group is one
-    call of the squarefree kernel.
-    """
-    masks_u = class_factor_masks(table, w, u)
-    masks_v = class_factor_masks(table, w, v)
-    if not masks_u or not masks_v:
-        return 0
-    groups: dict = {}
-    for a in masks_u:
-        for b in masks_v:
-            states = groups.setdefault(a & b, {})
-            states[a | b] = states.get(a | b, 0) + 1
-    rows = w.rows or _word_rows(table, w)
-    total = 0
-    for shared, states in groups.items():
-        mults = []  # the shared positions, highest first: one step per set bit
-        while shared:
-            mults.append(shared.bit_length() - 1)
-            shared ^= 1 << mults[-1]
-        total += _top_coefficient(states, mults, rows)
-    return total
-
-
 def _word_rows(table: CosetTable, w: CosetEntry) -> list:
     """M_w's memoized rows, as signed bytes (as a list past -128..127, which
     only a Cartan matrix of infinite type reaches): the parent chain is
@@ -344,12 +323,53 @@ class _Prefix:
 
 def _row(table: CosetTable, u: CosetEntry, v: CosetEntry) -> _Prefix:
     """The memo node of s_u s_v, its vector {(m, i): c^w_{u,v}} over layer l(u) + l(v).
-    u is the longer class, the larger (m, i), as every caller passes it."""
+    u is the longer class, the larger (m, i), as every caller passes it; the
+    mask pairs that skip the kernel are described in the module docstring.
+    """
     key = ((u.m, u.i), (v.m, v.i))
     node = table._vectors.get(key)
-    if node is None:
-        node = table._vectors[key] = _Prefix({(w.m, w.i): c for w in table.layer(u.m + v.m)
-                                              if (c := _pair_constant(table, w, u, v))})
+    if node is not None:
+        return node
+    ku, kv = key
+    vector = {}
+    for w in table.layer(u.m + v.m):
+        masks_u = w.masks.get(ku) if w.masks else None
+        if masks_u is None:
+            masks_u = class_factor_masks(table, w, u)
+        if not masks_u:
+            continue
+        masks_v = w.masks.get(kv)
+        if masks_v is None:
+            masks_v = class_factor_masks(table, w, v)
+        if not masks_v:
+            continue
+        rows = w.rows or _word_rows(table, w)
+        top = w.m - 1
+        full = (1 << w.m) - 1
+        c = 0
+        groups: dict = {}
+        for a in masks_u:
+            for b in masks_v:
+                shared = a & b
+                if not shared:  # a | b is full: x_1...x_m
+                    c += 1
+                elif shared & (shared - 1):
+                    states = groups.setdefault(shared, {})
+                    states[a | b] = states.get(a | b, 0) + 1
+                else:  # one multiplier d, one hole h
+                    h = (full ^ (a | b)).bit_length() - 1
+                    d = shared.bit_length() - 1
+                    if h < d:
+                        c += rows[h][top - d]
+        for shared, states in groups.items():
+            mults = []  # the shared positions, highest first: one step per set bit
+            while shared:
+                mults.append(shared.bit_length() - 1)
+                shared ^= 1 << mults[-1]
+            c += _top_coefficient(states, mults, rows)
+        if c:
+            vector[(w.m, w.i)] = c
+    node = table._vectors[key] = _Prefix(vector)
     return node
 
 
@@ -375,12 +395,14 @@ def monomial_vector(table: CosetTable, classes) -> dict:
         return {(u.m, u.i): 1 for u in factors} or {(0, 1): 1}
     node = _row(table, factors[0], factors[1])
     for g in factors[2:]:
-        key = (node, g.m, g.i)
+        gk = (g.m, g.i)
+        key = (node, *gk)
         nxt = table._vectors.get(key)
         if nxt is None:
             vec: dict = {}
-            for (m, i), a in node.vector.items():
-                for idx, c in _row(table, table.entry(m, i), g).vector.items():
+            for k, a in node.vector.items():  # a memoized row is read by its key, no call
+                row = table._vectors.get((k, gk)) or _row(table, table.entry(*k), g)
+                for idx, c in row.vector.items():
                     vec[idx] = vec.get(idx, 0) + a * c
             nxt = table._vectors[key] = _Prefix({idx: c for idx, c in vec.items() if c})
         node = nxt

@@ -78,12 +78,16 @@ SchubertPolynomial = namedtuple("SchubertPolynomial", "degree index terms")
 
 def monomial_basis(degrees, m: int) -> list[tuple[int, ...]]:
     """Exponent vectors of weighted degree m, in descending lexicographic order
-    (each exponent runs down from its largest value, so nothing is sorted)."""
+    (each exponent runs down from its largest value, so nothing is sorted).
+    The last exponent is what the others leave, kept only when it divides."""
+    if not degrees:
+        return [()] if m == 0 else []
     partial = [((), m)]
-    for d in degrees:
+    for d in degrees[:-1]:
         partial = [(p + (e,), left - e * d)
                    for p, left in partial for e in range(left // d, -1, -1)]
-    return [p for p, left in partial if left == 0]
+    d = degrees[-1]
+    return [p + (left // d,) for p, left in partial if left >= 0 and not left % d]
 
 
 def expansion_matrix(table: CosetTable, gens: GeneratorSet, m: int) -> ExpansionMatrix:
@@ -93,11 +97,12 @@ def expansion_matrix(table: CosetTable, gens: GeneratorSet, m: int) -> Expansion
     # the layer first: past a truncated bound it refuses before the basis is built
     layer = table.layer(m)
     monomials = tuple(monomial_basis(gens.degrees, m))
+    keys = [(m, w.i) for w in layer]
     rows = []
     for exps in monomials:
         classes = [g for g, e in zip(gens.entries, exps) for _ in range(e)]
         vec = monomial_vector(table, classes)
-        rows.append(tuple(vec.get((m, w.i), 0) for w in layer))
+        rows.append(tuple([vec.get(k, 0) for k in keys]))
     return ExpansionMatrix(m, monomials, tuple(rows), len(layer))
 
 

@@ -13,6 +13,7 @@ from flagcalc.cartan import validate
 from flagcalc.characteristics import (
     SchubertExpansion,
     StructureMatrix,
+    _top_coefficient,
     _word_rows,
     characteristic,
     class_factor_masks,
@@ -409,6 +410,64 @@ def test_multiply_schubert_pinned(series, rank, k_set, bound, digest):
                 terms = multiply_schubert(table, u, v).terms
                 h.update(repr((u.m, u.i, v.m, v.i, terms)).encode())
     assert h.hexdigest() == digest
+
+
+def test_deep_row_pinned():
+    """SHA-256 of the E8/P8 row (13,4)^2: up to 13 shared positions per mask
+    pair, so it runs the kernel's general branch, not only the cases that
+    ``_row`` settles without it."""
+    table = enumerate_cosets(builtin_cartan("E", 8), {8})
+    u = table.entry(13, 4)
+    terms = multiply_schubert(table, u, u).terms
+    assert hashlib.sha256(repr((13, 4, 13, 4, terms)).encode()).hexdigest() == (
+        "b3e548d54a3244eff3b8611286d3cefa06e2703202ae3a078ee26a10cf89dc7e")
+
+
+def _reference_row(table, u, v):
+    """{(m, i): c^w_{u,v}} with every mask pair through the kernel: the pairs
+    of each target grouped by their shared positions, one call per group."""
+    row = {}
+    for w in table.layer(u.m + v.m):
+        groups = {}
+        for a in class_factor_masks(table, w, u):
+            for b in class_factor_masks(table, w, v):
+                states = groups.setdefault(a & b, {})
+                states[a | b] = states.get(a | b, 0) + 1
+        rows = _word_rows(table, w)
+        c = sum(_top_coefficient(states, [d for d in range(w.m - 1, -1, -1) if shared >> d & 1],
+                                 rows)
+                for shared, states in groups.items())
+        if c:
+            row[(w.m, w.i)] = c
+    return row
+
+
+@pytest.mark.parametrize("series, rank, k_set", [
+    ("A", 3, {1, 2, 3}), ("B", 3, {1, 2, 3}), ("C", 3, {1, 2, 3}),
+    ("G", 2, {1, 2}), ("F", 4, {1}), ("E", 6, {2}),
+], ids=["A3-T", "B3-T", "C3-T", "G2-T", "F4-P1", "E6-P2"])
+def test_rows_match_the_kernel_on_every_pair(series, rank, k_set):
+    """The pairs ``_row`` settles without the kernel (no shared position: 1;
+    one: one resolvent entry) give what the kernel gives, on every pair of
+    classes, each side on its own fresh table."""
+    cartan = builtin_cartan(series, rank)
+    table, ref = enumerate_cosets(cartan, k_set), enumerate_cosets(cartan, k_set)
+    entries = list(table.entries())
+    for n, u in enumerate(entries):
+        for v in entries[n:]:
+            expected = _reference_row(ref, ref.entry(u.m, u.i), ref.entry(v.m, v.i))
+            assert multiply_schubert(table, u, v).as_dict() == expected, (u, v)
+
+
+def test_row_builds_the_shorter_masks_only_where_the_longer_has_one():
+    """A target with no mask of the longer class holds none of the shorter
+    class's masks after the row is built."""
+    table = enumerate_cosets(builtin_cartan("A", 4), {1, 2, 3, 4})
+    u, v = table.entry(4, 3), table.entry(2, 2)
+    multiply_schubert(table, u, v)
+    skipped = [w for w in table.layer(6) if w.masks[(u.m, u.i)] == ()]
+    assert skipped and all((v.m, v.i) not in w.masks for w in skipped)
+    assert all((v.m, v.i) in w.masks for w in table.layer(6) if w.masks[(u.m, u.i)])
 
 
 def test_characteristic_identity_cases(g42):
